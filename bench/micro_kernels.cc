@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks of the hot kernels: distance
  * computation, sortable-key codecs, bound accumulation, layout
- * transformation, and per-comparison fetch simulation. These are the
- * loops the whole experiment pipeline spends its host time in.
+ * transformation, per-comparison fetch simulation, and the ET profile
+ * build. These are the loops the whole experiment pipeline spends its
+ * host time in.
  */
 
 #include <benchmark/benchmark.h>
@@ -148,6 +149,32 @@ BENCHMARK(BM_FetchSimulate)
     ->Arg(static_cast<int>(et::EtScheme::kNone))
     ->Arg(static_cast<int>(et::EtScheme::kHeuristic))
     ->Arg(static_cast<int>(et::EtScheme::kOpt));
+
+/**
+ * Full ET profile build (the offline sampling pass) with the default
+ * ProfileConfig at quick scale (2000 vectors): Arg 0 is the fp32
+ * GIST-like input, Arg 1 the uint8 SIFT-like one. Runs on the global
+ * runtime, as ExperimentContext does.
+ */
+void
+BM_BuildProfile(benchmark::State &state)
+{
+    static const anns::Dataset gist =
+        anns::makeDataset(anns::DatasetId::kGist, 2000, 1, 1);
+    static const anns::Dataset sift =
+        anns::makeDataset(anns::DatasetId::kSift, 2000, 1, 1);
+    const anns::Dataset &ds = state.range(0) == 0 ? gist : sift;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            et::buildProfile(*ds.base, ds.metric()).etPositions.data());
+    }
+    state.SetLabel(ds.spec.name);
+}
+BENCHMARK(BM_BuildProfile)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_ResultSetOffer(benchmark::State &state)

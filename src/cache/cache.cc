@@ -84,7 +84,11 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &p)
       l1_(p.l1Bytes, p.l1Assoc),
       l2_(p.l2Bytes, p.l2Assoc),
       llc_(p.llcBytes, p.llcAssoc),
-      stats_("cache")
+      stats_("cache"),
+      l1_hits_(stats_.counter("l1_hits")),
+      l2_hits_(stats_.counter("l2_hits")),
+      llc_hits_(stats_.counter("llc_hits")),
+      misses_(stats_.counter("misses"))
 {
 }
 
@@ -92,20 +96,20 @@ CacheHierarchy::Level
 CacheHierarchy::access(Addr addr)
 {
     if (l1_.accessAndFill(addr)) {
-        ++stats_.counter("l1_hits");
+        ++l1_hits_;
         return Level::kL1;
     }
     // The L1 miss above already installed the line there (fill on the
     // way back); the same holds for L2/LLC below.
     if (l2_.accessAndFill(addr)) {
-        ++stats_.counter("l2_hits");
+        ++l2_hits_;
         return Level::kL2;
     }
     if (llc_.accessAndFill(addr)) {
-        ++stats_.counter("llc_hits");
+        ++llc_hits_;
         return Level::kLlc;
     }
-    ++stats_.counter("misses");
+    ++misses_;
     return Level::kMemory;
 }
 

@@ -95,6 +95,9 @@ class CacheHierarchy
     enum class Level { kL1, kL2, kLlc, kMemory };
 
     explicit CacheHierarchy(const HierarchyParams &p);
+    // The hit counters refer into this object's own stats_.
+    CacheHierarchy(const CacheHierarchy &) = delete;
+    CacheHierarchy &operator=(const CacheHierarchy &) = delete;
 
     /**
      * Access one 64 B line.
@@ -116,6 +119,12 @@ class CacheHierarchy
     CacheArray l2_;
     CacheArray llc_;
     StatGroup stats_;
+    // Bound once in the constructor: the group's map keeps references
+    // stable, so access() does no name lookups.
+    Counter &l1_hits_;
+    Counter &l2_hits_;
+    Counter &llc_hits_;
+    Counter &misses_;
 };
 
 } // namespace ansmet::cache

@@ -6,37 +6,34 @@ namespace ansmet {
 
 namespace check_detail {
 
+#if defined(ANSMET_AUDIT_DEFAULT_ON) || !defined(NDEBUG)
+constinit bool auditFlag = true;
+#else
+constinit bool auditFlag = false;
+#endif
+
 namespace {
 
 bool
-auditInit()
+applyAuditEnv()
 {
     // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only config knob,
-    // queried once under the static-init guard; nothing mutates the env.
+    // queried once during static initialization; nothing mutates the env.
     if (const char *env = std::getenv("ANSMET_AUDIT"))
-        return env[0] != '\0' && env[0] != '0';
-#if defined(ANSMET_AUDIT_DEFAULT_ON) || !defined(NDEBUG)
+        auditFlag = env[0] != '\0' && env[0] != '0';
     return true;
-#else
-    return false;
-#endif
 }
+
+[[maybe_unused]] const bool audit_env_applied = applyAuditEnv();
 
 } // namespace
-
-bool &
-auditFlag()
-{
-    static bool flag = auditInit();
-    return flag;
-}
 
 } // namespace check_detail
 
 void
 setAuditEnabled(bool on)
 {
-    check_detail::auditFlag() = on;
+    check_detail::auditFlag = on;
 }
 
 } // namespace ansmet

@@ -29,8 +29,13 @@ namespace ansmet {
 
 namespace check_detail {
 
-/** Cached audit flag; initialized once from ANSMET_AUDIT / build type. */
-bool &auditFlag();
+/**
+ * The audit flag. It is constant-initialized to the build default, so
+ * it holds a valid value even during static initialization, and
+ * check.cc applies the ANSMET_AUDIT override before main(). Reading it
+ * inline keeps a dormant DCHECK at one load and one branch.
+ */
+extern bool auditFlag;
 
 } // namespace check_detail
 
@@ -38,7 +43,7 @@ bool &auditFlag();
 inline bool
 auditEnabled()
 {
-    return check_detail::auditFlag();
+    return check_detail::auditFlag;
 }
 
 /** Force the audit mode, overriding environment and build default. */

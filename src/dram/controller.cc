@@ -43,7 +43,14 @@ MemController::MemController(sim::EventQueue &eq, const TimingParams &tp,
                              std::string name)
     : eq_(eq), tp_(tp), org_(org),
       starvation_limit_(tp.cycles(2000)),
-      stats_(std::move(name))
+      stats_(std::move(name)),
+      reads_(stats_.counter("reads")),
+      writes_(stats_.counter("writes")),
+      acts_(stats_.counter("acts")),
+      pres_(stats_.counter("pres")),
+      bus_reads_(stats_.counter("bus_reads")),
+      bus_writes_(stats_.counter("bus_writes")),
+      queue_latency_(stats_.scalar("queue_latency"))
 {
     ANSMET_CHECK(num_ranks >= 1, "controller needs at least one rank");
     for (unsigned r = 0; r < num_ranks; ++r)
@@ -68,7 +75,7 @@ MemController::enqueue(unsigned rank, Request req)
     p.req = std::move(req);
     p.order = next_order_++;
     queue_.push_back(idx);
-    ++stats_.counter(p.req.isWrite ? "writes" : "reads");
+    ++(p.req.isWrite ? writes_ : reads_);
     DramMetrics &m = dramMetrics();
     (p.req.isWrite ? m.writes : m.reads).inc();
     m.queueDepth.sample(queue_.size());
@@ -116,14 +123,14 @@ MemController::issueFor(Pending &p, const Candidate &c, Tick t)
     switch (c.cmd) {
       case Command::kAct:
         dev.issueAct(p.req.addr, t);
-        ++stats_.counter("acts");
+        ++acts_;
         dramMetrics().rowActivates.inc();
         break;
       case Command::kPre:
         // A precharge on this path always means an open-row conflict
         // (closed banks go straight to kAct).
         dev.issuePre(p.req.addr, t);
-        ++stats_.counter("pres");
+        ++pres_;
         dramMetrics().rowConflicts.inc();
         break;
       case Command::kRd:
@@ -134,8 +141,8 @@ MemController::issueFor(Pending &p, const Candidate &c, Tick t)
                      "data bus overlap at ", data_start);
         data_bus_free_at_ = data_end;
         data_bus_busy_ += tp_.cycles(tp_.tBL);
-        stats_.scalar("queue_latency")
-            .sample(static_cast<double>((t - p.req.arrival).raw()));
+        queue_latency_.sample(
+            static_cast<double>((t - p.req.arrival).raw()));
         dramMetrics().queueLatency.sample((t - p.req.arrival).raw());
         scheduleCompletion(data_end, std::move(p.req.onComplete));
         break;
@@ -149,7 +156,7 @@ void
 MemController::enqueueBusTransfer(bool is_write, Request::Callback cb)
 {
     bus_queue_.push_back(BusTransfer{is_write, eq_.now(), std::move(cb)});
-    ++stats_.counter(is_write ? "bus_writes" : "bus_reads");
+    ++(is_write ? bus_writes_ : bus_reads_);
     dramMetrics().busTransfers.inc();
     scheduleKick(eq_.now());
 }

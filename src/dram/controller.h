@@ -33,6 +33,9 @@ class MemController
     MemController(sim::EventQueue &eq, const TimingParams &tp,
                   const OrgParams &org, unsigned num_ranks,
                   std::string name);
+    // The counters refer into this object's own stats_.
+    MemController(const MemController &) = delete;
+    MemController &operator=(const MemController &) = delete;
 
     /** Enqueue a 64 B request for @p rank. Completion via callback. */
     void enqueue(unsigned rank, Request req);
@@ -128,6 +131,15 @@ class MemController
     TickDelta starvation_limit_;
 
     StatGroup stats_;
+    // Bound once in the constructor: the group's maps keep references
+    // stable, so the per-request and per-command paths do no lookups.
+    Counter &reads_;
+    Counter &writes_;
+    Counter &acts_;
+    Counter &pres_;
+    Counter &bus_reads_;
+    Counter &bus_writes_;
+    ScalarStat &queue_latency_;
 
     /** Enqueue count for stride-sampling the obs queue-depth track. */
     std::uint64_t obs_enq_ = 0;

@@ -76,14 +76,16 @@ schemeName(EtScheme s)
 namespace {
 
 /**
- * Per-thread comparison scratch: a reusable bound accumulator plus the
- * interval staging arrays the batched bound kernel consumes. One-time
- * allocation per thread; simulate() then runs allocation-free no
- * matter how many comparisons it performs.
+ * Per-thread comparison scratch: a reusable bound accumulator, the
+ * vector's decoded sortable keys, and the interval staging arrays the
+ * batched bound kernel consumes. One-time allocation per thread;
+ * simulate() then runs allocation-free no matter how many comparisons
+ * it performs.
  */
 struct SimScratch
 {
     BoundAccumulator acc;
+    std::vector<std::uint32_t> keys;
     std::vector<double> nlo;
     std::vector<double> nhi;
 
@@ -91,6 +93,7 @@ struct SimScratch
     arm(unsigned dims)
     {
         if (nlo.size() < dims) {
+            keys.resize(dims);
             nlo.resize(dims);
             nhi.resize(dims);
         }
@@ -220,30 +223,31 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
     }
 
     // The local bound covers only this rank's dims; all others keep
-    // their conservative initial contribution. The accumulator and the
-    // interval staging arrays are leased from the per-thread scratch,
-    // so a comparison allocates nothing.
+    // their conservative initial contribution. The accumulator, the
+    // keys and the interval staging arrays are leased from the
+    // per-thread scratch, so a comparison allocates nothing.
     SimScratch &scratch = t_scratch;
     scratch.arm(vs_.dims());
     BoundAccumulator &acc = scratch.acc;
     acc.reset(metric_, query, vs_.dims(), global_range_);
+    const ScalarType type = vs_.type();
+    const unsigned n = dim_end - dim_begin;
+    std::uint32_t *const keys = scratch.keys.data();
     double *const nlo = scratch.nlo.data();
     double *const nhi = scratch.nhi.data();
     FetchCursor cursor(plan);
+
+    // Decode the sub-vector's sortable keys once; every line below
+    // reveals a prefix of these.
+    for (unsigned sd = 0; sd < n; ++sd)
+        keys[sd] = toKey(type, vs_.bitsAt(v, dim_begin + sd));
 
     // The eliminated common prefix is known on-chip before any fetch
     // for normal vectors; outlier vectors reveal nothing up front.
     const bool is_outlier = pe_ && pe_->vectorIsOutlier(v);
     if (pe_ && !is_outlier && plan.prefixLen > 0) {
-        for (unsigned d = dim_begin; d < dim_end; ++d) {
-            const ValueInterval iv = intervalFromPrefix(
-                vs_.type(), toKey(vs_.type(), vs_.bitsAt(v, d)) >>
-                                (w - plan.prefixLen),
-                plan.prefixLen);
-            nlo[d - dim_begin] = iv.lo;
-            nhi[d - dim_begin] = iv.hi;
-        }
-        acc.updateBatch(dim_begin, dim_end - dim_begin, nlo, nhi);
+        stageIntervals(type, keys, n, plan.prefixLen, nlo, nhi);
+        acc.updateBatch(dim_begin, n, nlo, nhi);
     }
 
     // Each fetch step may only tighten the conservative bound; a
@@ -261,31 +265,40 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
                       " of ", plan.totalLines());
 
         // Stage the whole line's intervals, then tighten them in one
-        // batched kernel pass. A dimension that learned nothing keeps
-        // an infinite interval: the intersection is a no-op and its
-        // delta is exactly zero, so skipped dims cost nothing.
-        for (unsigned sd = info.dimBegin; sd < info.dimEnd; ++sd) {
-            const unsigned d = dim_begin + sd;
-            const unsigned slot = sd - info.dimBegin;
-            unsigned known = info.knownBitsAfter;
-            if (pe_) {
-                const unsigned fetched =
-                    info.knownBitsAfter - plan.prefixLen;
-                known = pe_->knownLen(v, d, fetched);
+        // batched kernel pass.
+        const unsigned line_dims = info.dimEnd - info.dimBegin;
+        const unsigned fetched = info.knownBitsAfter - plan.prefixLen;
+        if (!is_outlier) {
+            // Every element of a normal vector knows the same prefix
+            // after the line, so one staging call covers it.
+            const unsigned known =
+                pe_ ? pe_->knownLen(v, dim_begin + info.dimBegin, fetched)
+                    : info.knownBitsAfter;
+            ANSMET_DCHECK(known >= 1 && known <= w,
+                          "line revealed a prefix of ", known, " bits");
+            stageIntervals(type, keys + info.dimBegin, line_dims, known,
+                           nlo, nhi);
+        } else {
+            // Outlier elements carry their own match lengths. A
+            // dimension that learned nothing keeps an infinite
+            // interval: the intersection is a no-op and its delta is
+            // exactly zero, so skipped dims cost nothing.
+            for (unsigned sd = info.dimBegin; sd < info.dimEnd; ++sd) {
+                const unsigned slot = sd - info.dimBegin;
+                const unsigned known =
+                    pe_->knownLen(v, dim_begin + sd, fetched);
+                if (known == 0) {
+                    nlo[slot] = -std::numeric_limits<double>::infinity();
+                    nhi[slot] = std::numeric_limits<double>::infinity();
+                    continue;
+                }
+                const ValueInterval iv =
+                    intervalFromPrefix(type, keys[sd] >> (w - known), known);
+                nlo[slot] = iv.lo;
+                nhi[slot] = iv.hi;
             }
-            if (known == 0) {
-                nlo[slot] = -std::numeric_limits<double>::infinity();
-                nhi[slot] = std::numeric_limits<double>::infinity();
-                continue;
-            }
-            const std::uint32_t key = toKey(vs_.type(), vs_.bitsAt(v, d));
-            const ValueInterval iv =
-                intervalFromPrefix(vs_.type(), key >> (w - known), known);
-            nlo[slot] = iv.lo;
-            nhi[slot] = iv.hi;
         }
-        acc.updateBatch(dim_begin + info.dimBegin,
-                        info.dimEnd - info.dimBegin, nlo, nhi);
+        acc.updateBatch(dim_begin + info.dimBegin, line_dims, nlo, nhi);
 
         ANSMET_DCHECK(acc.lowerBound() >= prev_bound,
                       "lower bound regressed across a fetch step: ",
@@ -322,9 +335,7 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
     // uncompressed backup copy.
     if (is_outlier) {
         res.backupLines = static_cast<unsigned>(
-            divCeil(static_cast<std::uint64_t>(dim_end - dim_begin) *
-                        keyBits(vs_.type()),
-                    512));
+            divCeil(static_cast<std::uint64_t>(n) * w, 512));
         rec.backupLines = res.backupLines;
     }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/prng.h"
+#include "common/runtime/runtime.h"
 #include "et/bounds.h"
 
 namespace ansmet::et {
@@ -47,31 +49,22 @@ sampleThreshold(const anns::VectorSet &vs, anns::Metric metric,
 /**
  * pET of one (query, vector) pair: the smallest uniform per-element
  * prefix length whose bound exceeds the threshold; W+1 if none.
+ * @p keys holds the vector's d sortable keys; @p acc, @p nlo and
+ * @p nhi are the caller's scratch (nlo/nhi hold d entries).
  */
 unsigned
-etPosition(const anns::VectorSet &vs, anns::Metric metric, const float *q,
-           VectorId v, double threshold, ValueInterval global_range)
+etPosition(ScalarType t, anns::Metric metric, const float *q,
+           const std::uint32_t *keys, unsigned d, double threshold,
+           ValueInterval global_range, BoundAccumulator &acc, double *nlo,
+           double *nhi)
 {
-    const unsigned w = keyBits(vs.type());
-    const unsigned d = vs.dims();
-    BoundAccumulator acc(metric, q, d, global_range);
-
-    std::vector<std::uint32_t> keys(d);
-    for (unsigned i = 0; i < d; ++i)
-        keys[i] = toKey(vs.type(), vs.bitsAt(v, i));
-
+    const unsigned w = keyBits(t);
+    acc.reset(metric, q, d, global_range);
     // One batched kernel pass per prefix length: stage every
     // dimension's refined interval, then tighten them all at once.
-    std::vector<double> nlo(d), nhi(d);
     for (unsigned len = 1; len <= w; ++len) {
-        const unsigned shift = w - len;
-        for (unsigned i = 0; i < d; ++i) {
-            const ValueInterval iv =
-                intervalFromPrefix(vs.type(), keys[i] >> shift, len);
-            nlo[i] = iv.lo;
-            nhi[i] = iv.hi;
-        }
-        acc.updateBatch(0, d, nlo.data(), nhi.data());
+        stageIntervals(t, keys, d, len, nlo, nhi);
+        acc.updateBatch(0, d, nlo, nhi);
         if (acc.lowerBound() >= threshold)
             return len;
     }
@@ -240,17 +233,19 @@ buildProfile(const anns::VectorSet &vs, anns::Metric metric,
     // Sorted run-length counting: summation order is ascending prefix
     // value, so the floating-point entropy sum is schedule- and
     // hash-independent (iterating an unordered_map here would make the
-    // sum depend on bucket order).
+    // sum depend on bucket order). A right shift is monotone, so one
+    // sort of the full keys serves every prefix length: equal prefixes
+    // form contiguous runs, in ascending prefix order.
     prof.prefixEntropy.resize(w);
-    std::vector<std::uint32_t> shifted(keys.size());
+    std::vector<std::uint32_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
     for (unsigned len = 1; len <= w; ++len) {
-        for (std::size_t i = 0; i < keys.size(); ++i)
-            shifted[i] = keys[i] >> (w - len);
-        std::sort(shifted.begin(), shifted.end());
+        const unsigned shift = w - len;
         double h = 0.0;
-        for (std::size_t i = 0; i < shifted.size();) {
+        for (std::size_t i = 0; i < sorted.size();) {
+            const std::uint32_t prefix = sorted[i] >> shift;
             std::size_t j = i + 1;
-            while (j < shifted.size() && shifted[j] == shifted[i])
+            while (j < sorted.size() && (sorted[j] >> shift) == prefix)
                 ++j;
             const double p = static_cast<double>(j - i) /
                              static_cast<double>(keys.size());
@@ -261,20 +256,34 @@ buildProfile(const anns::VectorSet &vs, anns::Metric metric,
     }
 
     // ET positions over sampled (query, vector) pairs (Figure 3, red).
-    std::vector<float> qbuf(vs.dims());
-    std::size_t pairs = 0;
-    for (std::size_t i = 0; i < sample.size() && pairs < cfg.maxPairs; ++i) {
-        vs.toFloat(sample[i], qbuf.data());
-        for (std::size_t j = 0; j < sample.size() && pairs < cfg.maxPairs;
-             ++j) {
-            if (i == j)
-                continue;
-            prof.etPositions.push_back(
-                etPosition(vs, metric, qbuf.data(), sample[j],
-                           prof.threshold, prof.globalRange));
-            ++pairs;
+    // Pairs are enumerated in (query, vector) order, then evaluated in
+    // parallel into pair-indexed slots, so etPositions is the same
+    // sequence on any number of lanes.
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    for (std::size_t i = 0; i < sample.size() && pairs.size() < cfg.maxPairs;
+         ++i) {
+        for (std::size_t j = 0;
+             j < sample.size() && pairs.size() < cfg.maxPairs; ++j) {
+            if (i != j)
+                pairs.emplace_back(i, j);
         }
     }
+    const unsigned dims = vs.dims();
+    std::vector<float> queries(sample.size() * dims);
+    for (std::size_t i = 0; i < sample.size(); ++i)
+        vs.toFloat(sample[i], queries.data() + i * dims);
+    prof.etPositions.resize(pairs.size());
+    runtime::parallelFor(0, pairs.size(), [&](std::size_t lo, std::size_t hi) {
+        BoundAccumulator acc;
+        std::vector<double> nlo(dims), nhi(dims);
+        for (std::size_t k = lo; k < hi; ++k) {
+            const auto [i, j] = pairs[k];
+            prof.etPositions[k] =
+                etPosition(vs.type(), metric, queries.data() + i * dims,
+                           keys.data() + j * dims, dims, prof.threshold,
+                           prof.globalRange, acc, nlo.data(), nhi.data());
+        }
+    });
 
     prof.etFrequency.assign(w, 0.0);
     for (const unsigned p : prof.etPositions)

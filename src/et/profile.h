@@ -72,7 +72,11 @@ struct ProfileConfig
     std::uint64_t seed = 7;
 };
 
-/** Run the full preprocessing pass over @p vs. */
+/**
+ * Run the full preprocessing pass over @p vs. The sampled pairs'
+ * ET positions are evaluated with parallelFor; the profile is the same
+ * on any number of lanes.
+ */
 EtProfile buildProfile(const anns::VectorSet &vs, anns::Metric metric,
                        const ProfileConfig &cfg = {});
 

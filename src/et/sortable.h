@@ -149,6 +149,45 @@ intervalFromPrefix(ScalarType t, std::uint32_t prefix, unsigned prefix_len)
             keyToValue(t, clampKeyFinite(t, hi_key))};
 }
 
+/**
+ * Stage the intervals of @p n elements whose sortable keys keys[0, n)
+ * have all revealed their top @p len bits (1 <= len <= keyBits(T)):
+ * nlo[i] and nhi[i] become exactly the endpoints
+ * intervalFromPrefix(T, keys[i] >> (W - len), len) returns. The type
+ * is a template parameter, so the type switch, the clamp bounds and
+ * the decode are resolved once, outside the element loop.
+ */
+template <ScalarType T>
+inline void
+stageIntervals(const std::uint32_t *keys, unsigned n, unsigned len,
+               double *nlo, double *nhi)
+{
+    const auto low = static_cast<std::uint32_t>(maskLow(keyBits(T) - len));
+    for (unsigned i = 0; i < n; ++i) {
+        // (key >> rest) << rest, without a shift by the full width.
+        const std::uint32_t lo_key = keys[i] & ~low;
+        nlo[i] = keyToValue(T, clampKeyFinite(T, lo_key));
+        nhi[i] = keyToValue(T, clampKeyFinite(T, lo_key | low));
+    }
+}
+
+/** stageIntervals() for a type known only at run time. */
+inline void
+stageIntervals(ScalarType t, const std::uint32_t *keys, unsigned n,
+               unsigned len, double *nlo, double *nhi)
+{
+    switch (t) {
+      case ScalarType::kUint8:
+        return stageIntervals<ScalarType::kUint8>(keys, n, len, nlo, nhi);
+      case ScalarType::kInt8:
+        return stageIntervals<ScalarType::kInt8>(keys, n, len, nlo, nhi);
+      case ScalarType::kFp16:
+        return stageIntervals<ScalarType::kFp16>(keys, n, len, nlo, nhi);
+      case ScalarType::kFp32:
+        return stageIntervals<ScalarType::kFp32>(keys, n, len, nlo, nhi);
+    }
+}
+
 } // namespace ansmet::et
 
 #endif // ANSMET_ET_SORTABLE_H

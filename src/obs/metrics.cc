@@ -205,20 +205,6 @@ Registry::histogram(std::string_view name, unsigned buckets)
     return Histogram(slot, buckets);
 }
 
-namespace {
-
-/**
- * Seqlock read-side retry bound per shard. A tight-loop histogram
- * writer can keep a shard's epoch moving indefinitely, so an unbounded
- * reader could starve; past this many attempts snapshot() accepts the
- * possibly-torn view — exactly the pre-epoch behaviour, and still
- * slot-atomic, so counters are exact either way and only a histogram's
- * bucket/sum pairing can be skewed by in-flight samples.
- */
-constexpr unsigned kSnapshotRetries = 64;
-
-} // namespace
-
 Snapshot
 Registry::snapshot() const
 {
@@ -226,32 +212,14 @@ Registry::snapshot() const
     MutexLock lock(i.mu);
 
     // Merge every shard slot-wise first, then slice per metric. Each
-    // shard is read under its seqlock epoch: even before, unchanged
-    // after => no multi-slot write (histogram sample) was in flight,
-    // so bucket counts and sums are mutually consistent.
+    // shard is copied under its lock, so no histogram sample is half
+    // applied in the copy and bucket counts agree with sums.
     std::vector<std::uint64_t> merged(i.nextSlot, 0);
-    std::vector<std::uint64_t> scratch(i.nextSlot, 0);
     for (const auto &shard : i.shards) {
-        for (unsigned attempt = 0;; ++attempt) {
-            const std::uint64_t e1 =
-                shard->epoch.load(std::memory_order_acquire);
-            if ((e1 & 1) == 0) {
-                for (std::uint32_t s = 0; s < i.nextSlot; ++s)
-                    scratch[s] =
-                        shard->slots[s].load(std::memory_order_relaxed);
-                std::atomic_thread_fence(std::memory_order_acquire);
-                if (shard->epoch.load(std::memory_order_relaxed) == e1)
-                    break;
-            }
-            if (attempt >= kSnapshotRetries) {
-                for (std::uint32_t s = 0; s < i.nextSlot; ++s)
-                    scratch[s] =
-                        shard->slots[s].load(std::memory_order_relaxed);
-                break;
-            }
-        }
+        shard->lock();
         for (std::uint32_t s = 0; s < i.nextSlot; ++s)
-            merged[s] += scratch[s];
+            merged[s] += shard->slots[s].load(std::memory_order_relaxed);
+        shard->unlock();
     }
 
     Snapshot snap;

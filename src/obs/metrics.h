@@ -33,6 +33,7 @@
 #ifndef ANSMET_OBS_DISABLED
 #include <array>
 #include <atomic>
+#include <thread>
 #endif
 
 namespace ansmet::obs {
@@ -103,15 +104,29 @@ struct Shard
     // (the shard owner) and merged by snapshot() under the registry
     // mutex. Single-slot metrics (counters) are exact in any snapshot
     // on their own; multi-slot updates (a histogram sample touches a
-    // bucket slot and the sum slot) are bracketed by `epoch` so
-    // snapshot() can detect and retry past a mid-sample read instead
-    // of tearing bucket against sum.
+    // bucket slot and the sum slot) run under `busy`, which snapshot()
+    // also holds while it copies the shard, so it never sees a bucket
+    // without its sum.
     std::array<std::atomic<std::uint64_t>, kShardSlots> slots{};
 
-    // Seqlock-style write epoch: odd while the shard owner is inside a
-    // multi-slot update. Counters skip it (their one fetch_add is
-    // atomic on its own), so the common hot path stays a single RMW.
-    std::atomic<std::uint64_t> epoch{0};
+    // Per-shard spin lock. Counters skip it (their one fetch_add is
+    // atomic on its own), so the common hot path stays a single RMW;
+    // a histogram sample pays one uncontended exchange and one store.
+    // The only contender is snapshot(), which holds it for one copy
+    // of the shard, so neither side can starve the other.
+    std::atomic<bool> busy{false};
+
+    void
+    lock()
+    {
+        // acquire: the slot accesses that follow cannot move above.
+        while (busy.exchange(true, std::memory_order_acquire))
+            while (busy.load(std::memory_order_relaxed))
+                std::this_thread::yield();
+    }
+
+    // release: the slot accesses before cannot move below.
+    void unlock() { busy.store(false, std::memory_order_release); }
 };
 
 /** Allocate this thread's shard and register it (metrics.cc). */
@@ -188,17 +203,12 @@ class Histogram
     sample(std::uint64_t v)
     {
         detail::Shard &s = detail::shard();
-        // Seqlock write side: the entry increment is acq_rel so the
-        // slot adds cannot appear before it, the exit increment is
-        // release so they cannot appear after it; the adds themselves
-        // stay relaxed. snapshot() retries any shard it catches with
-        // an odd or moving epoch.
-        s.epoch.fetch_add(1, std::memory_order_acq_rel);
+        s.lock();
         s.slots[first_ + bucketOf(v)].fetch_add(
             1, std::memory_order_relaxed);
         s.slots[first_ + buckets_].fetch_add(v,
                                              std::memory_order_relaxed);
-        s.epoch.fetch_add(1, std::memory_order_release);
+        s.unlock();
     }
 
   private:

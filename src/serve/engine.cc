@@ -137,7 +137,8 @@ serve(core::SystemModel &sys,
 
     ServeReport report;
     AdmissionScheduler adm(ac);
-    Driver driver(sys, traces, generateArrivals(load), adm, report);
+    Driver driver(sys, traces, generateArrivals(load, &report.bursts), adm,
+                  report);
     driver.run();
     return report;
 }

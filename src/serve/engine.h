@@ -55,6 +55,7 @@ struct ServeReport
     std::uint64_t dropped = 0;
     std::uint64_t completed = 0;
     unsigned maxOccupiedQshrs = 0;
+    std::uint64_t bursts = 0; //!< burst periods begun (kBursty arrivals)
     TickDelta makespan{}; //!< first arrival scheduled at tick 0
 
     /** Completed queries per second of simulated time. */

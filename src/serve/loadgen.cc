@@ -35,7 +35,7 @@ arrivalProcessName(ArrivalProcess p)
 }
 
 std::vector<Arrival>
-generateArrivals(const LoadGenConfig &cfg)
+generateArrivals(const LoadGenConfig &cfg, std::uint64_t *bursts)
 {
     ANSMET_CHECK(cfg.offeredQps > 0.0, "loadgen: offeredQps must be > 0");
     ANSMET_CHECK(cfg.numTraces > 0, "loadgen: empty trace set");
@@ -77,6 +77,7 @@ generateArrivals(const LoadGenConfig &cfg)
 
     Tick now{};
     bool bursting = false;
+    std::uint64_t bursts_begun = 0;
     // Tick at which the current modulation state ends (kBursty only).
     Tick state_end{};
     if (cfg.process == ArrivalProcess::kBursty)
@@ -98,6 +99,8 @@ generateArrivals(const LoadGenConfig &cfg)
                 }
                 now = state_end;
                 bursting = !bursting;
+                if (bursting)
+                    ++bursts_begun;
                 const double dwell =
                     bursting ? dwell_high_ticks : dwell_low_ticks;
                 state_end =
@@ -113,7 +116,19 @@ generateArrivals(const LoadGenConfig &cfg)
                                cfg.numTraces, cfg.zipfAlpha));
         out.push_back(a);
     }
+    if (bursts != nullptr)
+        *bursts = bursts_begun;
     return out;
+}
+
+double
+meanBurstNsForPeriods(const LoadGenConfig &cfg, double periods)
+{
+    ANSMET_CHECK(cfg.offeredQps > 0.0, "loadgen: offeredQps must be > 0");
+    ANSMET_CHECK(periods > 0.0, "loadgen: periods must be > 0");
+    const double span_ns =
+        static_cast<double>(cfg.numQueries) / cfg.offeredQps * 1e9;
+    return span_ns * cfg.burstFraction / periods;
 }
 
 } // namespace ansmet::serve

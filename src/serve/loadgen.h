@@ -77,9 +77,19 @@ struct Arrival
 /**
  * Generate the full arrival schedule: numQueries arrivals in
  * nondecreasing tick order with Zipf-drawn trace indices. Pure
- * function of @p cfg.
+ * function of @p cfg. If @p bursts is given, it receives the number of
+ * burst periods (kBursty) that began before the last arrival.
  */
-std::vector<Arrival> generateArrivals(const LoadGenConfig &cfg);
+std::vector<Arrival> generateArrivals(const LoadGenConfig &cfg,
+                                      std::uint64_t *bursts = nullptr);
+
+/**
+ * Mean burst dwell (ns) at which the expected span of @p cfg's schedule,
+ * numQueries / offeredQps, holds @p periods burst-plus-quiet periods:
+ * span * burstFraction / periods. A fixed dwell can outlast the whole
+ * schedule at high offered rates, so that no burst ever begins.
+ */
+double meanBurstNsForPeriods(const LoadGenConfig &cfg, double periods);
 
 } // namespace ansmet::serve
 

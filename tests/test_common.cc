@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -358,6 +360,27 @@ TEST(Check, DcheckHonorsAuditToggle)
     EXPECT_DEATH(ANSMET_DCHECK(false, "audit caught it"),
                  "dcheck failed: false audit caught it");
     setAuditEnabled(false);
+}
+
+TEST(Check, AuditEnvIsReadAtStartup)
+{
+    // Each death-test child re-executes the binary, so it reads the
+    // ANSMET_AUDIT set here while it initializes, before main().
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const char *saved = std::getenv("ANSMET_AUDIT");
+    const std::string saved_val = saved ? saved : "";
+
+    ::setenv("ANSMET_AUDIT", "1", 1);
+    EXPECT_EXIT(std::exit(auditEnabled() ? 7 : 8),
+                ::testing::ExitedWithCode(7), "");
+    ::setenv("ANSMET_AUDIT", "0", 1);
+    EXPECT_EXIT(std::exit(auditEnabled() ? 7 : 8),
+                ::testing::ExitedWithCode(8), "");
+
+    if (saved)
+        ::setenv("ANSMET_AUDIT", saved_val.c_str(), 1);
+    else
+        ::unsetenv("ANSMET_AUDIT");
 }
 
 // ---------------------------------------------------------------------

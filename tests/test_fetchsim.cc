@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <string>
+#include <utility>
 
 #include "anns/bruteforce.h"
 #include "anns/dataset.h"
@@ -449,6 +451,144 @@ TEST(LosslessTopK, EtSearchMatchesBruteForce)
                         << schemeName(scheme) << " rank " << i;
             }
         }
+    }
+}
+
+/**
+ * Reference model of simulateRange() for bound-checking schemes: every
+ * line decodes each element through intervalFromPrefix() at its own
+ * knownLen(), then tightens the bound with one updateBatch(). The
+ * staged fast path must match it exactly.
+ */
+FetchResult
+perDimensionReference(const FetchSimulator &sim, const anns::VectorSet &vs,
+                      anns::Metric metric, const EtProfile &prof,
+                      const float *query, VectorId v, double threshold,
+                      unsigned dim_begin, unsigned dim_end)
+{
+    const FetchPlanSpec &plan = sim.subPlan(dim_end - dim_begin);
+    const PrefixElimination *pe = sim.prefixElimination();
+    const ScalarType t = vs.type();
+    const unsigned w = keyBits(t);
+
+    FetchResult res;
+    res.exactDist = anns::distance(metric, query, vs, v);
+    res.accepted = res.exactDist < threshold;
+    BoundAccumulator acc(metric, query, vs.dims(), prof.globalRange);
+    std::vector<double> nlo(vs.dims()), nhi(vs.dims());
+    auto interval = [&](unsigned d, unsigned known, unsigned slot) {
+        const ValueInterval iv = intervalFromPrefix(
+            t, toKey(t, vs.bitsAt(v, d)) >> (w - known), known);
+        nlo[slot] = iv.lo;
+        nhi[slot] = iv.hi;
+    };
+
+    const bool is_outlier = pe && pe->vectorIsOutlier(v);
+    if (pe && !is_outlier && plan.prefixLen > 0) {
+        for (unsigned d = dim_begin; d < dim_end; ++d)
+            interval(d, plan.prefixLen, d - dim_begin);
+        acc.updateBatch(dim_begin, dim_end - dim_begin, nlo.data(),
+                        nhi.data());
+    }
+    FetchCursor cursor(plan);
+    while (!cursor.done()) {
+        const LineInfo info = cursor.next();
+        ++res.lines;
+        for (unsigned sd = info.dimBegin; sd < info.dimEnd; ++sd) {
+            const unsigned d = dim_begin + sd;
+            const unsigned slot = sd - info.dimBegin;
+            const unsigned known =
+                pe ? pe->knownLen(v, d, info.knownBitsAfter - plan.prefixLen)
+                   : info.knownBitsAfter;
+            if (known == 0) {
+                nlo[slot] = -std::numeric_limits<double>::infinity();
+                nhi[slot] = std::numeric_limits<double>::infinity();
+                continue;
+            }
+            interval(d, known, slot);
+        }
+        acc.updateBatch(dim_begin + info.dimBegin,
+                        info.dimEnd - info.dimBegin, nlo.data(),
+                        nhi.data());
+        if (boundExceeds(acc.lowerBound(), threshold)) {
+            res.terminatedEarly = true;
+            res.estimate = acc.lowerBound();
+            return res;
+        }
+    }
+    res.estimate = acc.lowerBound();
+    if (is_outlier) {
+        res.backupLines = static_cast<unsigned>(
+            divCeil(static_cast<std::uint64_t>(dim_end - dim_begin) * w,
+                    512));
+    }
+    return res;
+}
+
+TEST(FetchSim, StagedOptMatchesPerDimensionReference)
+{
+    // Values in [1, 2) share sign and exponent, so the common prefix is
+    // long; every 40th vector gets one element at 3.5 (a different
+    // exponent), which makes it an outlier vector. Sub-ranges, both
+    // metrics and three thresholds run the staged path on normal
+    // vectors and the per-dimension path on outlier vectors.
+    constexpr unsigned kDims = 72;
+    anns::VectorSet vs(800, kDims, anns::ScalarType::kFp32);
+    Prng rng(17);
+    for (VectorId v = 0; v < 800; ++v) {
+        for (unsigned d = 0; d < kDims; ++d)
+            vs.set(v, d, static_cast<float>(rng.uniform(1.0, 2.0)));
+        if (v % 40 == 7)
+            vs.set(v, static_cast<unsigned>(rng.below(kDims)), 3.5f);
+    }
+    const std::pair<unsigned, unsigned> ranges[] = {
+        {0, kDims}, {0, 24}, {24, kDims}, {10, 50}, {71, kDims}};
+
+    for (const anns::Metric metric : {anns::Metric::kL2, anns::Metric::kIp}) {
+        ProfileConfig pc;
+        pc.numSamples = 60;
+        pc.maxPairs = 600;
+        const EtProfile prof = buildProfile(vs, metric, pc);
+        const FetchSimulator sim(vs, metric, EtScheme::kOpt, &prof);
+        const PrefixElimination *pe = sim.prefixElimination();
+        ASSERT_NE(pe, nullptr);
+        ASSERT_GT(prof.commonPrefix.length, 0u);
+        ASSERT_GT(pe->numOutlierVectors(), 0u);
+
+        std::size_t outliers = 0, normals = 0, terminated = 0;
+        for (const VectorId qsrc : {VectorId{3}, VectorId{7}}) {
+            const std::vector<float> q = vs.toFloat(qsrc);
+            const double knn =
+                anns::bruteForceKnn(metric, q.data(), vs, 10).back().dist;
+            for (const double threshold :
+                 {knn, knn * (metric == anns::Metric::kL2 ? 4.0 : 0.5),
+                  std::numeric_limits<double>::infinity()}) {
+                for (VectorId v = 0; v < 800; v += 3) {
+                    for (const auto &[b, e] : ranges) {
+                        const FetchResult got =
+                            sim.simulateRange(q.data(), v, threshold, b, e);
+                        const FetchResult want = perDimensionReference(
+                            sim, vs, metric, prof, q.data(), v, threshold,
+                            b, e);
+                        const std::string at =
+                            "v=" + std::to_string(v) + " dims [" +
+                            std::to_string(b) + ", " + std::to_string(e) +
+                            ")";
+                        EXPECT_EQ(got.lines, want.lines) << at;
+                        EXPECT_EQ(got.backupLines, want.backupLines) << at;
+                        EXPECT_EQ(got.terminatedEarly, want.terminatedEarly)
+                            << at;
+                        EXPECT_EQ(got.estimate, want.estimate) << at;
+                        EXPECT_EQ(got.accepted, want.accepted) << at;
+                        ++(pe->vectorIsOutlier(v) ? outliers : normals);
+                        terminated += got.terminatedEarly;
+                    }
+                }
+            }
+        }
+        EXPECT_GT(outliers, 0u);
+        EXPECT_GT(normals, 0u);
+        EXPECT_GT(terminated, 0u);
     }
 }
 

@@ -166,13 +166,13 @@ TEST_F(RegistryTest, SnapshotDoesNotTearHistogramMidRun)
 {
     // Regression for the bucket/sum tear: a snapshot taken while a
     // histogram sample is mid-flight (bucket slot bumped, sum slot not
-    // yet) used to report sum != value * count. The per-shard seqlock
-    // epoch makes every snapshot internally consistent.
+    // yet) used to report sum != value * count. The per-shard lock,
+    // held by the sampler and by snapshot() while it copies the shard,
+    // makes every snapshot internally consistent.
     //
-    // The writer samples in short bursts with a pause between them, so
-    // the reader always finds a stable epoch well inside its retry
-    // bound and the assertion is not flaky; the burst itself is what
-    // used to tear. Run under tsan in CI for ordering coverage.
+    // The writer samples in short bursts with a pause between them;
+    // the burst itself is what used to tear. Run under tsan in CI for
+    // ordering coverage.
     Histogram h = Registry::instance().histogram("test.tear", 16);
     constexpr std::uint64_t kValue = 5;
     constexpr int kBursts = 400;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Serial-vs-parallel determinism: every thread-pooled stage (ground
- * truth, HNSW construction, concurrent search, trace replay) must
- * produce results bit-identical to the single-threaded reference path
- * for a fixed seed.
+ * truth, HNSW construction, concurrent search, trace replay, ET profile
+ * build) must produce results bit-identical to the single-threaded
+ * reference path for a fixed seed.
  *
  * The serial reference is obtained by running the stage inside a
  * worker of a private pool: pool work is flagged thread-local, so
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "anns/bruteforce.h"
@@ -156,6 +157,35 @@ TEST(ParallelDeterminism, TraceReplayStatsMatchOnTheFlyReference)
             EXPECT_EQ(a.backupLines, b.backupLines);
             EXPECT_EQ(a.polls, b.polls);
         }
+    }
+}
+
+TEST(ParallelDeterminism, ProfileBuildMatchesSerial)
+{
+    // The sampled pairs are evaluated with parallelFor into pair-indexed
+    // slots; the profile must not depend on how many lanes ran them.
+    const auto glove = anns::makeDataset(DatasetId::kGlove, 1200, 10, 1);
+    for (const anns::Dataset *ds : {&dataset(), &glove}) {
+        const et::EtProfile a = et::buildProfile(*ds->base, ds->metric());
+        const et::EtProfile b = runSerial(
+            [&] { return et::buildProfile(*ds->base, ds->metric()); });
+        const char *name = anns::scalarName(ds->base->type());
+        EXPECT_EQ(a.threshold, b.threshold) << name;
+        EXPECT_EQ(a.etPositions, b.etPositions) << name;
+        EXPECT_EQ(a.etFrequency, b.etFrequency) << name;
+        EXPECT_EQ(a.prefixEntropy, b.prefixEntropy) << name;
+        EXPECT_EQ(a.fetchCountDist, b.fetchCountDist) << name;
+        EXPECT_EQ(a.commonPrefix.length, b.commonPrefix.length) << name;
+        EXPECT_EQ(a.commonPrefix.bits, b.commonPrefix.bits) << name;
+        for (const auto &[x, y] : {std::pair{a.dualNoPrefix, b.dualNoPrefix},
+                                   std::pair{a.dualWithPrefix,
+                                             b.dualWithPrefix}}) {
+            EXPECT_EQ(x.nc, y.nc) << name;
+            EXPECT_EQ(x.tc, y.tc) << name;
+            EXPECT_EQ(x.nf, y.nf) << name;
+        }
+        EXPECT_EQ(a.etPositions.size(), et::ProfileConfig{}.maxPairs)
+            << name;
     }
 }
 

@@ -134,6 +134,30 @@ TEST(LoadGen, PopularityIsZipfSkewed)
     EXPECT_GT(hits[0], hits[25]);
 }
 
+TEST(LoadGen, BurstCountFollowsDwellSizing)
+{
+    std::uint64_t bursts = 99;
+    (void)serve::generateArrivals(loadCfg(), &bursts);
+    EXPECT_EQ(bursts, 0u);
+
+    // The default 2 ms dwell is a sizeable share of this ~40 ms
+    // schedule; sizing the dwell from the span for 50 burst-plus-quiet
+    // periods must yield tens of bursts, and asking for the count must
+    // not change the schedule.
+    auto cfg = loadCfg(serve::ArrivalProcess::kBursty);
+    std::uint64_t unsized = 0;
+    (void)serve::generateArrivals(cfg, &unsized);
+    cfg.meanBurstNs = serve::meanBurstNsForPeriods(cfg, 50.0);
+    const auto plain = serve::generateArrivals(cfg);
+    const auto counted = serve::generateArrivals(cfg, &bursts);
+    ASSERT_EQ(plain.size(), counted.size());
+    for (std::size_t i = 0; i < plain.size(); ++i)
+        EXPECT_EQ(plain[i].at, counted[i].at) << i;
+    EXPECT_GE(bursts, 25u);
+    EXPECT_LE(bursts, 100u);
+    EXPECT_LT(unsized, bursts);
+}
+
 TEST(LoadGen, BurstyRequiresFeasibleQuietRate)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

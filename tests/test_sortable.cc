@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/prng.h"
 #include "et/sortable.h"
@@ -115,6 +116,74 @@ TEST_P(SortableTest, LongerPrefixesNest)
         // Full prefix pins the exact value.
         EXPECT_DOUBLE_EQ(prev.lo, prev.hi);
         EXPECT_DOUBLE_EQ(prev.lo, keyToValue(t, key));
+    }
+}
+
+/**
+ * Keys at the edges of @p t's encoding: all-zero and all-one keys,
+ * signed zeros, the clamp boundaries at +-max finite and the keys just
+ * beyond them, and (fp16/fp32) the subnormal range.
+ */
+std::vector<std::uint32_t>
+edgeKeys(ScalarType t)
+{
+    std::vector<std::uint32_t> raws;
+    switch (t) {
+      case ScalarType::kUint8:
+      case ScalarType::kInt8:
+        raws = {0x00, 0x01, 0x7f, 0x80, 0x81, 0xfe, 0xff};
+        break;
+      case ScalarType::kFp16:
+        raws = {0x0000, 0x8000,          // +0, -0
+                0x0001, 0x8001,          // smallest subnormals
+                0x0155, 0x83ff, 0x03ff,  // subnormals up to the largest
+                0x0400, 0x8400,          // smallest normals
+                0x7bff, 0xfbff,          // +-max finite (clamp bounds)
+                0x7c00, 0xfc00,          // +-inf (clamped)
+                0x3c00, 0xbc00};         // +-1
+        break;
+      case ScalarType::kFp32:
+        raws = {0x00000000u, 0x80000000u, 0x00000001u, 0x80000001u,
+                0x007fffffu, 0x807fffffu, 0x00800000u, 0x80800000u,
+                0x7f7fffffu, 0xff7fffffu, 0x7f800000u, 0xff800000u,
+                0x3f800000u, 0xbf800000u};
+        break;
+    }
+    const auto ones = static_cast<std::uint32_t>(maskLow(keyBits(t)));
+    std::vector<std::uint32_t> keys = {0u, ones};
+    for (const std::uint32_t raw : raws) {
+        const std::uint32_t k = toKey(t, raw);
+        keys.push_back(k);
+        if (k > 0)
+            keys.push_back(k - 1);
+        if (k < ones)
+            keys.push_back(k + 1);
+    }
+    return keys;
+}
+
+TEST_P(SortableTest, StagedIntervalsMatchIntervalFromPrefix)
+{
+    const ScalarType t = GetParam();
+    const unsigned w = keyBits(t);
+    std::vector<std::uint32_t> keys = edgeKeys(t);
+    Prng rng(5);
+    for (int i = 0; i < 301; ++i)
+        keys.push_back(toKey(t, randomRaw(t, rng)));
+    const auto n = static_cast<unsigned>(keys.size());
+
+    std::vector<double> nlo(n), nhi(n);
+    for (unsigned len = 1; len <= w; ++len) {
+        stageIntervals(t, keys.data(), n, len, nlo.data(), nhi.data());
+        for (unsigned i = 0; i < n; ++i) {
+            const ValueInterval iv =
+                intervalFromPrefix(t, keys[i] >> (w - len), len);
+            EXPECT_EQ(nlo[i], iv.lo) << "key=" << keys[i] << " len=" << len;
+            EXPECT_EQ(nhi[i], iv.hi) << "key=" << keys[i] << " len=" << len;
+            // == does not tell -0 from +0.
+            EXPECT_EQ(std::signbit(nlo[i]), std::signbit(iv.lo));
+            EXPECT_EQ(std::signbit(nhi[i]), std::signbit(iv.hi));
+        }
     }
 }
 
