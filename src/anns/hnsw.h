@@ -8,7 +8,7 @@
  * paper) and reports every comparison through a SearchObserver so the
  * timing layer can replay it.
  *
- * Construction is parallelized over the global thread pool in one of
+ * Construction is parallelized over the global task runtime in one of
  * two modes (HnswParams::build):
  *  - kOrdered (default): deterministic batch-parallel insertion. The
  *    vertex stream is processed in exponentially growing batches; all

@@ -83,33 +83,21 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &p)
     : p_(p),
       l1_(p.l1Bytes, p.l1Assoc),
       l2_(p.l2Bytes, p.l2Assoc),
-      llc_(p.llcBytes, p.llcAssoc),
-      stats_("cache"),
-      l1_hits_(stats_.counter("l1_hits")),
-      l2_hits_(stats_.counter("l2_hits")),
-      llc_hits_(stats_.counter("llc_hits")),
-      misses_(stats_.counter("misses"))
+      llc_(p.llcBytes, p.llcAssoc)
 {
 }
 
 CacheHierarchy::Level
 CacheHierarchy::access(Addr addr)
 {
-    if (l1_.accessAndFill(addr)) {
-        ++l1_hits_;
+    if (l1_.accessAndFill(addr))
         return Level::kL1;
-    }
     // The L1 miss above already installed the line there (fill on the
     // way back); the same holds for L2/LLC below.
-    if (l2_.accessAndFill(addr)) {
-        ++l2_hits_;
+    if (l2_.accessAndFill(addr))
         return Level::kL2;
-    }
-    if (llc_.accessAndFill(addr)) {
-        ++llc_hits_;
+    if (llc_.accessAndFill(addr))
         return Level::kLlc;
-    }
-    ++misses_;
     return Level::kMemory;
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "common/types.h"
 
 namespace ansmet::cache {
@@ -95,9 +94,6 @@ class CacheHierarchy
     enum class Level { kL1, kL2, kLlc, kMemory };
 
     explicit CacheHierarchy(const HierarchyParams &p);
-    // The hit counters refer into this object's own stats_.
-    CacheHierarchy(const CacheHierarchy &) = delete;
-    CacheHierarchy &operator=(const CacheHierarchy &) = delete;
 
     /**
      * Access one 64 B line.
@@ -111,20 +107,11 @@ class CacheHierarchy
 
     void flush();
 
-    StatGroup &stats() { return stats_; }
-
   private:
     HierarchyParams p_;
     CacheArray l1_;
     CacheArray l2_;
     CacheArray llc_;
-    StatGroup stats_;
-    // Bound once in the constructor: the group's map keeps references
-    // stable, so access() does no name lookups.
-    Counter &l1_hits_;
-    Counter &l2_hits_;
-    Counter &llc_hits_;
-    Counter &misses_;
 };
 
 } // namespace ansmet::cache

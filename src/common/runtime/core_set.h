@@ -14,8 +14,7 @@
  *
  * Lane 0 is always the *caller's* lane: a CoreSet of size n yields
  * n - 1 worker threads (on cores_[1..n-1]) plus the submitting thread,
- * mirroring the historical ThreadPool sizing where ANSMET_THREADS
- * counts total execution lanes including the caller.
+ * so ANSMET_THREADS counts total execution lanes including the caller.
  */
 
 #ifndef ANSMET_COMMON_RUNTIME_CORE_SET_H
@@ -57,9 +56,9 @@ class CoreSet
     bool pinned() const { return pinned_; }
 
     /**
-     * ANSMET_THREADS if set (clamped to >= 1), else hardware
-     * concurrency. This is the historical ThreadPool sizing knob and
-     * still governs the unpinned fallback.
+     * ANSMET_THREADS if set (values below 1 are ignored with a
+     * warning), else hardware concurrency. Sizes the unpinned
+     * fallback.
      */
     static unsigned configuredLanes();
 

@@ -311,7 +311,7 @@ Runtime::shutdown()
 }
 
 // ---------------------------------------------------------------------------
-// parallelFor (ported ThreadPool chunk-claiming loop)
+// parallelFor (chunk-claiming loop shared by the caller and runners)
 
 void
 Runtime::runChunksImpl(ForJob &job)

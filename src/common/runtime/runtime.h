@@ -3,8 +3,7 @@
  * Task-based affinity-aware runtime — the execution engine behind all
  * host-side parallelism.
  *
- * Replaces the flat work-stealing ThreadPool (one global mutex/cv
- * handoff) with per-worker bounded MPSC channels: one Worker per core
+ * Work flows through per-worker bounded MPSC channels: one Worker per core
  * of a topology-ordered CoreSet, each owning a fixed-capacity
  * lock-free ring (mpsc_channel.h). Producers push tasks to the channel
  * named by the task's affinity hint; a worker drains its own channel
@@ -13,19 +12,18 @@
  * briefly, then park on an eventcount, so a saturated runtime never
  * touches a lock and an idle one never burns a core.
  *
- * Determinism contract (the same one ThreadPool callers already
- * honor, now stated for tasks too): task *results* must not depend on
- * which lane ran the task or in which order independent tasks ran —
- * write to task-indexed slots, draw randomness from per-item
- * common::Prng streams, reduce in a canonical serial order. Under
- * that contract every figure is bitwise identical for any
- * ANSMET_THREADS / ANSMET_CORES setting, which CI asserts.
+ * Determinism contract (for parallelFor bodies and tasks alike): task
+ * *results* must not depend on which lane ran the task or in which
+ * order independent tasks ran — write to task-indexed slots, draw
+ * randomness from per-item common::Prng streams, reduce in a canonical
+ * serial order. Under that contract every figure is bitwise identical
+ * for any ANSMET_THREADS / ANSMET_CORES setting, which CI asserts.
  *
- * Sizing mirrors the historical pool: a CoreSet of size n means n
- * execution lanes — n-1 worker threads plus the submitting caller
- * (parallelFor's caller claims chunks like any worker). A one-lane
- * runtime spawns nothing and runs every entry point inline on the
- * caller; that is the ANSMET_THREADS=1 reference path.
+ * Sizing: a CoreSet of size n means n execution lanes — n-1 worker
+ * threads plus the submitting caller (parallelFor's caller claims
+ * chunks like any worker). A one-lane runtime spawns nothing and runs
+ * every entry point inline on the caller; that is the ANSMET_THREADS=1
+ * reference path.
  *
  * Shutdown is drain-then-join: shutdown() (or the destructor) stops
  * admission — posting afterwards is a fatal ANSMET_CHECK — and workers
@@ -106,8 +104,7 @@ class Runtime
      * @p grain iterations (0 = auto). Blocks until every iteration has
      * run; the first exception from any chunk is rethrown here. The
      * caller participates, claiming chunks like a worker. Nested calls
-     * from inside runtime work run the whole range inline — identical
-     * semantics (and chunk layout) to the retired ThreadPool.
+     * from inside runtime work run the whole range inline.
      */
     void parallelFor(std::size_t begin, std::size_t end,
                      const std::function<void(std::size_t, std::size_t)> &body,
@@ -133,7 +130,7 @@ class Runtime
     friend class Worker;
     friend class TaskGroup;
 
-    /** Ported ThreadPool::ForJob: chunk cursor shared by all lanes. */
+    /** One parallelFor: chunk cursor shared by all lanes. */
     struct ForJob
     {
         std::size_t end = 0;

@@ -260,12 +260,12 @@ class SystemModel
 
     /**
      * Fetch-simulate every comparison of every trace in parallel over
-     * the thread pool, in the exact (step, task, sub-vector) order the
+     * the task runtime, in the exact (step, task, sub-vector) order the
      * replay consumes them. The simulator is a pure function of
      * (query, vector, threshold, dim range) — and the dimension split
      * is the same in every rank group — so the event-driven replay
      * stays serial and bit-identical while the expensive bound loops
-     * run on all cores. No-op with a single-threaded pool (the
+     * run on all cores. No-op with a one-lane runtime (the
      * reference path computes on the fly).
      */
     void precomputeFetch(const std::vector<QueryTrace> &traces);

@@ -43,14 +43,7 @@ MemController::MemController(sim::EventQueue &eq, const TimingParams &tp,
                              std::string name)
     : eq_(eq), tp_(tp), org_(org),
       starvation_limit_(tp.cycles(2000)),
-      stats_(std::move(name)),
-      reads_(stats_.counter("reads")),
-      writes_(stats_.counter("writes")),
-      acts_(stats_.counter("acts")),
-      pres_(stats_.counter("pres")),
-      bus_reads_(stats_.counter("bus_reads")),
-      bus_writes_(stats_.counter("bus_writes")),
-      queue_latency_(stats_.scalar("queue_latency"))
+      name_(std::move(name))
 {
     ANSMET_CHECK(num_ranks >= 1, "controller needs at least one rank");
     for (unsigned r = 0; r < num_ranks; ++r)
@@ -75,14 +68,14 @@ MemController::enqueue(unsigned rank, Request req)
     p.req = std::move(req);
     p.order = next_order_++;
     queue_.push_back(idx);
-    ++(p.req.isWrite ? writes_ : reads_);
+    ++transfers_;
     DramMetrics &m = dramMetrics();
     (p.req.isWrite ? m.writes : m.reads).inc();
     m.queueDepth.sample(queue_.size());
     if (obs_enq_++ % kQueueSampleStride == 0) {
         auto &tw = obs::TraceWriter::instance();
         if (tw.enabled()) {
-            tw.counter(stats_.name() + ".bankq", obs::dramLaneTid(0),
+            tw.counter(name_ + ".bankq", obs::dramLaneTid(0),
                        eq_.now(),
                        static_cast<std::int64_t>(queue_.size()));
         }
@@ -123,14 +116,12 @@ MemController::issueFor(Pending &p, const Candidate &c, Tick t)
     switch (c.cmd) {
       case Command::kAct:
         dev.issueAct(p.req.addr, t);
-        ++acts_;
         dramMetrics().rowActivates.inc();
         break;
       case Command::kPre:
         // A precharge on this path always means an open-row conflict
         // (closed banks go straight to kAct).
         dev.issuePre(p.req.addr, t);
-        ++pres_;
         dramMetrics().rowConflicts.inc();
         break;
       case Command::kRd:
@@ -141,8 +132,6 @@ MemController::issueFor(Pending &p, const Candidate &c, Tick t)
                      "data bus overlap at ", data_start);
         data_bus_free_at_ = data_end;
         data_bus_busy_ += tp_.cycles(tp_.tBL);
-        queue_latency_.sample(
-            static_cast<double>((t - p.req.arrival).raw()));
         dramMetrics().queueLatency.sample((t - p.req.arrival).raw());
         scheduleCompletion(data_end, std::move(p.req.onComplete));
         break;
@@ -156,7 +145,7 @@ void
 MemController::enqueueBusTransfer(bool is_write, Request::Callback cb)
 {
     bus_queue_.push_back(BusTransfer{is_write, eq_.now(), std::move(cb)});
-    ++(is_write ? bus_writes_ : bus_reads_);
+    ++transfers_;
     dramMetrics().busTransfers.inc();
     scheduleKick(eq_.now());
 }

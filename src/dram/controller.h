@@ -15,10 +15,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/ring_deque.h"
-#include "common/stats.h"
 #include "dram/device.h"
 #include "dram/params.h"
 #include "dram/types.h"
@@ -33,9 +33,6 @@ class MemController
     MemController(sim::EventQueue &eq, const TimingParams &tp,
                   const OrgParams &org, unsigned num_ranks,
                   std::string name);
-    // The counters refer into this object's own stats_.
-    MemController(const MemController &) = delete;
-    MemController &operator=(const MemController &) = delete;
 
     /** Enqueue a 64 B request for @p rank. Completion via callback. */
     void enqueue(unsigned rank, Request req);
@@ -55,8 +52,9 @@ class MemController
     const RankDevice &rankDevice(unsigned r) const { return *ranks_[r]; }
     unsigned numRanks() const { return static_cast<unsigned>(ranks_.size()); }
 
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
+    /** 64 B transfers on this controller's DQ bus: reads, writes and
+     *  buffer-chip bus transfers (the channel I/O energy input). */
+    std::uint64_t transfers() const { return transfers_; }
 
     /** Ticks during which the data bus carried a burst (utilization). */
     TickDelta dataBusBusy() const { return data_bus_busy_; }
@@ -130,16 +128,9 @@ class MemController
     /** Age (ticks) past which the oldest request preempts row hits. */
     TickDelta starvation_limit_;
 
-    StatGroup stats_;
-    // Bound once in the constructor: the group's maps keep references
-    // stable, so the per-request and per-command paths do no lookups.
-    Counter &reads_;
-    Counter &writes_;
-    Counter &acts_;
-    Counter &pres_;
-    Counter &bus_reads_;
-    Counter &bus_writes_;
-    ScalarStat &queue_latency_;
+    /** Names the controller's `.bankq` trace track. */
+    std::string name_;
+    std::uint64_t transfers_ = 0;
 
     /** Enqueue count for stride-sampling the obs queue-depth track. */
     std::uint64_t obs_enq_ = 0;

@@ -38,8 +38,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "common/check.h"
@@ -183,15 +181,6 @@ class EventQueue
             ++processed;
             if ((processed & ((1u << 16) - 1)) == 0)
                 depthGauge().set(static_cast<std::int64_t>(live_));
-            if ((processed & ((1u << 24) - 1)) == 0 && debug_) {
-                std::fprintf(stderr,
-                             "[eq] %llu events, now=%llu ps, pending=%zu\n",
-                             static_cast<unsigned long long>(processed),
-                             static_cast<unsigned long long>(now_.raw()),
-                             live_);
-                if (debug_hook_)
-                    debug_hook_();
-            }
         }
         if (processed != 0) {
             static obs::Counter events =
@@ -200,12 +189,6 @@ class EventQueue
             depthGauge().set(static_cast<std::int64_t>(live_));
         }
     }
-
-    /** Enable periodic progress logging (debug aid). */
-    void setDebug(bool on) { debug_ = on; }
-
-    /** Extra state dumper invoked with the periodic debug line. */
-    void setDebugHook(std::function<void()> hook) { debug_hook_ = std::move(hook); }
 
     /** Execute exactly one event; returns false if none pending. */
     bool
@@ -439,8 +422,6 @@ class EventQueue
     std::uint64_t seq_ = 0;
     std::size_t live_ = 0;
     Tick now_{};
-    bool debug_ = false;
-    std::function<void()> debug_hook_;
 };
 
 /**

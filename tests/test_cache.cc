@@ -99,11 +99,9 @@ TEST(Hierarchy, StatsCount)
 {
     HierarchyParams p;
     CacheHierarchy h(p);
-    h.access(0);
-    h.access(0);
-    h.access(64);
-    EXPECT_EQ(h.stats().counters().at("misses").value(), 2u);
-    EXPECT_EQ(h.stats().counters().at("l1_hits").value(), 1u);
+    EXPECT_EQ(h.access(0), CacheHierarchy::Level::kMemory);
+    EXPECT_EQ(h.access(0), CacheHierarchy::Level::kL1);
+    EXPECT_EQ(h.access(64), CacheHierarchy::Level::kMemory);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for common utilities: bit operations, PRNG, stats,
- * tables, annotated sync primitives, and the discrete-event queue.
+ * Unit tests for common utilities: bit operations, PRNG, tables,
+ * annotated sync primitives, and the discrete-event queue.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "common/bitops.h"
 #include "common/check.h"
 #include "common/prng.h"
-#include "common/stats.h"
 #include "common/sync.h"
 #include "common/table.h"
 #include "sim/event_queue.h"
@@ -136,44 +135,6 @@ TEST(Prng, ZipfSkew)
             ++low;
     // With alpha=2 most of the mass is on the first few values.
     EXPECT_GT(low, static_cast<std::size_t>(n) / 2);
-}
-
-TEST(Stats, ScalarStat)
-{
-    ScalarStat s;
-    s.sample(1.0);
-    s.sample(3.0);
-    s.sample(5.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-}
-
-TEST(Stats, Histogram)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.sample(-1.0);
-    h.sample(0.0);
-    h.sample(5.5);
-    h.sample(10.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Stats, GroupRegistry)
-{
-    StatGroup g("test");
-    ++g.counter("a");
-    g.counter("a") += 2;
-    EXPECT_EQ(g.counter("a").value(), 3u);
-    g.reset();
-    EXPECT_EQ(g.counter("a").value(), 0u);
 }
 
 TEST(Table, Renders)

@@ -288,6 +288,25 @@ TEST(MemController, BusTransferLatency)
     EXPECT_EQ(done, Tick{} + tp.cycles(tp.tCWL + tp.tBL));
 }
 
+TEST(MemController, TransfersCountReadsWritesAndBusTransfers)
+{
+    sim::EventQueue eq;
+    const auto org = smallOrg();
+    MemController ctrl(eq, timing(), org, 1, "t");
+    constexpr unsigned kReads = 7, kWrites = 5, kBus = 3;
+    for (unsigned i = 0; i < kReads + kWrites; ++i) {
+        Request req;
+        req.addr = mapLine(i, org);
+        req.isWrite = i >= kReads;
+        ctrl.enqueue(0, std::move(req));
+    }
+    for (unsigned i = 0; i < kBus; ++i)
+        ctrl.enqueueBusTransfer(i % 2 == 0, nullptr);
+    EXPECT_EQ(ctrl.transfers(), kReads + kWrites + kBus);
+    eq.run();
+    EXPECT_EQ(ctrl.transfers(), kReads + kWrites + kBus);
+}
+
 TEST(MemController, BandwidthApproachesPeakOnStreams)
 {
     sim::EventQueue eq;

@@ -1,13 +1,14 @@
 /**
  * @file
  * Golden-figure regression test: replays a small fixed-seed slice of
- * the fig06 (design speedups) and fig08 (efSearch sweep) workloads
- * in-process and diffs the rows against checked-in golden files, so a
- * silent drift in simulated timing fails ctest instead of waiting for
- * the manual CI figure diff.
+ * the fig06 (design speedups), fig07 (system energy) and fig08
+ * (efSearch sweep) workloads in-process and diffs the rows against
+ * checked-in golden files, so a silent drift in simulated timing fails
+ * ctest instead of waiting for the manual CI figure diff.
  *
- * The rows record integer makespans (ticks) and recalls produced by
- * the deterministic event queue; they are invariant to thread count
+ * The rows record integer makespans (ticks), recalls and energies
+ * (printed with %a, so exactly) produced by the deterministic event
+ * queue; they are invariant to thread count
  * and SIMD tier by the repo's determinism contracts. Dataset synthesis
  * goes through libm (log/sin/cos), so goldens are pinned to the
  * toolchain the repo targets; regenerate with
@@ -100,6 +101,29 @@ fig06Rows()
     return rows;
 }
 
+/** fig07 slice: system energy and its components for the fig06
+ *  design subset. %a prints every double exactly. */
+std::vector<std::string>
+fig07Rows()
+{
+    std::vector<std::string> rows;
+    for (const auto id :
+         {anns::DatasetId::kSift, anns::DatasetId::kGlove}) {
+        const ExperimentContext &ctx = goldenContext(id);
+        for (const Design d :
+             {Design::kCpuBase, Design::kNdpBase, Design::kNdpEtOpt}) {
+            const dram::EnergyBreakdown e = ctx.runDesign(d).energy;
+            rows.push_back(fmt(
+                "fig07 %s %s total_nj=%a act_pre=%a rd_wr=%a io=%a "
+                "refresh=%a background=%a",
+                anns::datasetSpec(id).name.c_str(), designName(d),
+                e.totalNj(), e.actPreNj, e.rdWrCoreNj, e.ioNj,
+                e.refreshNj, e.backgroundNj));
+        }
+    }
+    return rows;
+}
+
 /** fig08 slice: efSearch sweep on one dataset, recall + makespans. */
 std::vector<std::string>
 fig08Rows()
@@ -176,6 +200,11 @@ checkAgainstGolden(const char *file,
 TEST(GoldenFigures, Fig06DesignMakespans)
 {
     checkAgainstGolden("fig06.txt", fig06Rows());
+}
+
+TEST(GoldenFigures, Fig07Energy)
+{
+    checkAgainstGolden("fig07.txt", fig07Rows());
 }
 
 TEST(GoldenFigures, Fig08EfSweep)

@@ -1,15 +1,15 @@
 /**
  * @file
- * Serial-vs-parallel determinism: every thread-pooled stage (ground
- * truth, HNSW construction, concurrent search, trace replay, ET profile
+ * Serial-vs-parallel determinism: every parallel stage (ground truth,
+ * HNSW construction, concurrent search, trace replay, ET profile
  * build) must produce results bit-identical to the single-threaded
  * reference path for a fixed seed.
  *
- * The serial reference is obtained by running the stage inside a
- * worker of a private pool: pool work is flagged thread-local, so
- * every nested ThreadPool::global() entry point degrades to a plain
+ * The serial reference is obtained by running the stage as a task of
+ * a private one-lane runtime: runtime work is flagged thread-local, so
+ * every nested Runtime::global() entry point degrades to a plain
  * inline loop — exactly the ANSMET_THREADS=1 code path — while the
- * parallel run on the main thread uses the full global pool. On a
+ * parallel run on the main thread uses the full global runtime. On a
  * single-core machine both sides are serial and the tests pass
  * trivially.
  */
@@ -17,13 +17,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "anns/bruteforce.h"
 #include "anns/dataset.h"
 #include "anns/hnsw.h"
-#include "common/thread_pool.h"
+#include "common/runtime/runtime.h"
 #include "core/system.h"
 #include "core/trace.h"
 #include "et/profile.h"
@@ -33,13 +34,20 @@ namespace {
 
 using anns::DatasetId;
 
-/** Run @p fn with every ThreadPool::global() entry point forced inline. */
+/** Run @p fn as a task of a private one-lane runtime: the task is
+ *  flagged as runtime work, so every nested parallel entry point
+ *  degrades to the serial (ANSMET_THREADS=1) code path. */
 template <typename Fn>
 auto
 runSerial(Fn fn) -> decltype(fn())
 {
-    ThreadPool sandbox(2); // one worker; submit() must not run inline
-    return sandbox.submit(std::move(fn)).get();
+    runtime::Runtime sandbox(
+        runtime::RuntimeConfig{runtime::CoreSet::identity(1)});
+    runtime::TaskGroup group(sandbox);
+    std::optional<decltype(fn())> out;
+    group.run(0, runtime::Task::Fn{[&] { out.emplace(fn()); }});
+    group.wait();
+    return std::move(*out);
 }
 
 const anns::Dataset &
@@ -102,13 +110,13 @@ TEST(ParallelDeterminism, ConcurrentSearchMatchesSerial)
     // Search is const and uses leased visit scratch, so many threads
     // may query one index at once with identical per-query results.
     std::vector<std::vector<VectorId>> parallel(ds.queries.size());
-    ansmet::parallelFor(0, ds.queries.size(),
-                        [&](std::size_t lo, std::size_t hi) {
-                            for (std::size_t q = lo; q < hi; ++q)
-                                parallel[q] =
-                                    idx.search(ds.queries[q].data(), 10, 64);
-                        },
-                        /*grain=*/1);
+    runtime::parallelFor(0, ds.queries.size(),
+                         [&](std::size_t lo, std::size_t hi) {
+                             for (std::size_t q = lo; q < hi; ++q)
+                                 parallel[q] =
+                                     idx.search(ds.queries[q].data(), 10, 64);
+                         },
+                         /*grain=*/1);
     EXPECT_EQ(parallel, serial);
 }
 

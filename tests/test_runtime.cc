@@ -1,11 +1,13 @@
 /**
  * @file
- * Task runtime tests: channel SPSC/MPSC/steal stress (the tsan job
- * runs these under -fsanitize=thread), bounded-channel backpressure
- * (tasks are never dropped), affinity-hint placement with stealing
- * disabled, the one-lane inline fast path, drain-then-join shutdown
- * with the submit-after-shutdown CHECK, TaskGroup join/exception
- * semantics, and result identity across lane counts.
+ * Task runtime tests: ANSMET_THREADS sizing, channel SPSC/MPSC/steal
+ * stress (the tsan job runs these under -fsanitize=thread),
+ * bounded-channel backpressure (tasks are never dropped), affinity-hint
+ * placement with stealing disabled, the one-lane inline fast path,
+ * drain-then-join shutdown with the submit-after-shutdown CHECK,
+ * TaskGroup join/exception semantics under concurrent and nested
+ * submission, parallelFor coverage and exception propagation, and
+ * result identity across lane counts.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +15,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/runtime/core_set.h"
@@ -34,6 +39,32 @@ config(unsigned lanes, std::size_t capacity = 1024, bool steal = true)
     cfg.steal = steal;
     return cfg;
 }
+
+/** Unsets an environment variable for one scope, then restores it. */
+class ScopedUnsetEnv
+{
+  public:
+    explicit ScopedUnsetEnv(const char *name) : name_(name)
+    {
+        if (const char *v = std::getenv(name)) {
+            had_ = true;
+            saved_ = v;
+        }
+        ::unsetenv(name);
+    }
+    ~ScopedUnsetEnv()
+    {
+        if (had_)
+            ::setenv(name_, saved_.c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    bool had_ = false;
+    std::string saved_;
+};
 
 // --------------------------------------------------------------------
 // CoreSet
@@ -68,6 +99,22 @@ TEST(CoreSet, RejectsJunkAsEmpty)
     EXPECT_EQ(CoreSet::parse("-3").size(), 0u);
     EXPECT_EQ(CoreSet::parse(nullptr).size(), 0u);
     EXPECT_FALSE(CoreSet::parse("junk").pinned());
+}
+
+TEST(CoreSet, ConfiguredLanesReadsAnsmetThreads)
+{
+    ScopedUnsetEnv threads("ANSMET_THREADS");
+    ScopedUnsetEnv cores("ANSMET_CORES"); // would override the lane count
+    ::setenv("ANSMET_THREADS", "3", 1);
+    EXPECT_EQ(CoreSet::configuredLanes(), 3u);
+    ::setenv("ANSMET_THREADS", "1", 1);
+    EXPECT_EQ(CoreSet::configuredLanes(), 1u);
+
+    // A default-configured runtime under ANSMET_THREADS=1 spawns no
+    // workers.
+    Runtime rt;
+    EXPECT_EQ(rt.lanes(), 1u);
+    EXPECT_EQ(rt.numWorkers(), 0u);
 }
 
 TEST(CoreSet, IdentityIsUnpinned)
@@ -337,6 +384,68 @@ TEST(TaskGroup, WaitRethrowsFirstTaskError)
     EXPECT_EQ(ran.load(), 100u); // the failure does not cancel siblings
 }
 
+TEST(TaskGroup, ConcurrentExternalRunFromManyThreads)
+{
+    // Four outside threads each fork and join their own group on one
+    // runtime; every task writes its own slot exactly once.
+    Runtime rt(config(4));
+    constexpr unsigned kSubmitters = 4;
+    constexpr unsigned kTasksEach = 200;
+    std::vector<std::uint32_t> out(kSubmitters * kTasksEach, 0);
+    std::vector<std::thread> submitters;
+    submitters.reserve(kSubmitters);
+    for (unsigned s = 0; s < kSubmitters; ++s)
+        submitters.emplace_back([&rt, &out, s] {
+            TaskGroup group(rt);
+            for (unsigned t = 0; t < kTasksEach; ++t) {
+                const std::uint32_t idx = s * kTasksEach + t;
+                group.run(idx, Task::Fn{[&out, idx] { out[idx] = idx + 1; }});
+            }
+            group.wait();
+        });
+    for (auto &th : submitters)
+        th.join();
+    for (std::uint32_t i = 0; i < out.size(); ++i)
+        ASSERT_EQ(out[i], i + 1) << "task " << i;
+}
+
+TEST(TaskGroup, RunFromInsideParallelForBody)
+{
+    // Every parallelFor chunk forks and joins a one-task group while an
+    // outside thread keeps posting group tasks onto the same channels.
+    Runtime rt(config(4));
+    constexpr unsigned kRounds = 20;
+    constexpr std::size_t kN = 512;
+    constexpr std::size_t kGrain = 8;
+    std::atomic<unsigned> task_hits{0};
+    std::atomic<std::size_t> iter_hits{0};
+    std::thread outside([&rt, &task_hits] {
+        TaskGroup group(rt);
+        for (unsigned t = 0; t < 100; ++t)
+            group.run(kAnyLane, Task::Fn{[&task_hits] {
+                          task_hits.fetch_add(1, std::memory_order_relaxed);
+                      }});
+        group.wait();
+    });
+    for (unsigned round = 0; round < kRounds; ++round) {
+        rt.parallelFor(
+            0, kN,
+            [&](std::size_t lo, std::size_t hi) {
+                iter_hits.fetch_add(hi - lo, std::memory_order_relaxed);
+                TaskGroup inner(rt);
+                inner.run(kAnyLane, Task::Fn{[&task_hits] {
+                              task_hits.fetch_add(
+                                  1, std::memory_order_relaxed);
+                          }});
+                inner.wait();
+            },
+            kGrain);
+    }
+    outside.join();
+    EXPECT_EQ(iter_hits.load(), kRounds * kN);
+    EXPECT_EQ(task_hits.load(), 100u + kRounds * kN / kGrain);
+}
+
 TEST(TaskGroup, WaitFromInsideAWorkerHelpsInsteadOfDeadlocking)
 {
     // A group task that itself forks-and-joins a subgroup: with one
@@ -455,6 +564,193 @@ TEST(Runtime, ParallelForPropagatesFirstException)
                        }),
         std::runtime_error);
     EXPECT_EQ(ran.load(), 1000u); // the range still completes
+}
+
+TEST(Runtime, ParallelForRethrowsOnceWhenEveryChunkThrows)
+{
+    Runtime rt(config(4));
+    for (int round = 0; round < 50; ++round) {
+        std::atomic<std::size_t> ran{0};
+        unsigned caught = 0;
+        try {
+            rt.parallelFor(
+                0, 256,
+                [&](std::size_t lo, std::size_t hi) {
+                    ran.fetch_add(hi - lo, std::memory_order_relaxed);
+                    throw std::runtime_error("chunk failure");
+                },
+                4);
+        } catch (const std::runtime_error &e) {
+            ++caught;
+            EXPECT_STREQ(e.what(), "chunk failure");
+        }
+        EXPECT_EQ(caught, 1u);
+        EXPECT_EQ(ran.load(), 256u); // every chunk was still claimed
+    }
+}
+
+// --------------------------------------------------------------------
+// ThreadPool / ThreadPoolStress: the parallelFor cases of the former
+// ThreadPool class, kept under their suite names and run on a private
+// Runtime of the same lane count.
+// --------------------------------------------------------------------
+
+TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
+{
+    Runtime rt(config(4));
+    constexpr std::size_t kN = 10000;
+    std::vector<std::atomic<unsigned>> hits(kN);
+    rt.parallelFor(
+        0, kN,
+        [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+        },
+        /*grain=*/7);
+    for (std::size_t i = 0; i < kN; ++i)
+        ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
+}
+
+TEST(ThreadPool, ParallelForHonorsNonZeroBegin)
+{
+    Runtime rt(config(3));
+    std::atomic<std::size_t> sum{0};
+    rt.parallelFor(100, 200, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i)
+            sum.fetch_add(i, std::memory_order_relaxed);
+    });
+    // sum of [100, 200) = (100+199)*100/2
+    EXPECT_EQ(sum.load(), 14950u);
+}
+
+TEST(ThreadPool, EmptyRangeNeverInvokesBody)
+{
+    Runtime rt(config(2));
+    bool called = false;
+    rt.parallelFor(5, 5, [&](std::size_t, std::size_t) { called = true; });
+    rt.parallelFor(7, 3, [&](std::size_t, std::size_t) { called = true; });
+    EXPECT_FALSE(called);
+}
+
+TEST(ThreadPool, ParallelForPropagatesFirstExceptionAndCompletes)
+{
+    Runtime rt(config(4));
+    constexpr std::size_t kN = 512;
+    std::vector<std::atomic<unsigned>> hits(kN);
+    auto run = [&] {
+        rt.parallelFor(
+            0, kN,
+            [&](std::size_t lo, std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i)
+                    hits[i].fetch_add(1, std::memory_order_relaxed);
+                if (lo <= kN / 2 && kN / 2 < hi)
+                    throw std::runtime_error("chunk boom");
+            },
+            /*grain=*/8);
+    };
+    EXPECT_THROW(run(), std::runtime_error);
+    // The failing chunk must not strand the rest of the range.
+    for (std::size_t i = 0; i < kN; ++i)
+        ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
+}
+
+TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock)
+{
+    Runtime rt(config(4));
+    constexpr std::size_t kOuter = 64;
+    constexpr std::size_t kInner = 100;
+    std::vector<std::size_t> sums(kOuter, 0);
+    rt.parallelFor(0, kOuter, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t o = lo; o < hi; ++o) {
+            // A nested call from runtime work must degrade to a plain
+            // serial loop instead of waiting on worker capacity.
+            rt.parallelFor(0, kInner, [&](std::size_t ilo, std::size_t ihi) {
+                for (std::size_t i = ilo; i < ihi; ++i)
+                    sums[o] += i;
+            });
+        }
+    });
+    for (std::size_t o = 0; o < kOuter; ++o)
+        EXPECT_EQ(sums[o], kInner * (kInner - 1) / 2);
+}
+
+TEST(ThreadPool, SingleThreadPoolRunsInlineInOneCall)
+{
+    Runtime rt(config(1));
+    EXPECT_EQ(rt.lanes(), 1u);
+    const std::thread::id self = std::this_thread::get_id();
+    unsigned calls = 0;
+    rt.parallelFor(3, 40, [&](std::size_t lo, std::size_t hi) {
+        ++calls;
+        EXPECT_EQ(lo, 3u);
+        EXPECT_EQ(hi, 40u);
+        EXPECT_EQ(std::this_thread::get_id(), self);
+    });
+    EXPECT_EQ(calls, 1u); // no chunking on the serial reference path
+}
+
+TEST(ThreadPool, ManySequentialParallelFors)
+{
+    // Regression guard for job publication/unpublication races: the
+    // same runtime must survive many back-to-back loops with results
+    // identical to serial accumulation.
+    Runtime rt(config(4));
+    std::size_t total = 0;
+    for (unsigned round = 0; round < 200; ++round) {
+        std::atomic<std::size_t> sum{0};
+        rt.parallelFor(0, 97, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                sum.fetch_add(i + round, std::memory_order_relaxed);
+        });
+        total += sum.load();
+    }
+    std::size_t expect = 0;
+    for (unsigned round = 0; round < 200; ++round)
+        for (std::size_t i = 0; i < 97; ++i)
+            expect += i + round;
+    EXPECT_EQ(total, expect);
+}
+
+TEST(ThreadPoolStress, NestedParallelForRunsEveryIteration)
+{
+    Runtime rt(config(4));
+    constexpr std::size_t kOuter = 64;
+    constexpr std::size_t kInner = 64;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+
+    for (int round = 0; round < 10; ++round) {
+        rt.parallelFor(
+            0, kOuter,
+            [&](std::size_t lo, std::size_t hi) {
+                for (std::size_t o = lo; o < hi; ++o) {
+                    // Nested call: must degrade to inline execution,
+                    // not deadlock on worker capacity.
+                    rt.parallelFor(
+                        0, kInner, [&, o](std::size_t ilo, std::size_t ihi) {
+                            for (std::size_t i = ilo; i < ihi; ++i)
+                                hits[o * kInner + i].fetch_add(
+                                    1, std::memory_order_relaxed);
+                        });
+                }
+            },
+            1);
+    }
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        ASSERT_EQ(hits[i].load(), 10) << "iteration " << i;
+}
+
+TEST(ThreadPoolStress, SequentialParallelForsStayDeterministic)
+{
+    Runtime rt(config(4));
+    std::vector<std::size_t> out(4096);
+    for (int round = 0; round < 20; ++round) {
+        rt.parallelFor(0, out.size(), [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                out[i] = i * i;
+        });
+        const std::size_t spot = 1234;
+        ASSERT_EQ(out[spot], spot * spot);
+    }
 }
 
 } // namespace

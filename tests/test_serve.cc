@@ -11,11 +11,13 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "anns/dataset.h"
 #include "anns/hnsw.h"
-#include "common/thread_pool.h"
+#include "common/runtime/runtime.h"
 #include "core/system.h"
 #include "core/trace.h"
 #include "et/profile.h"
@@ -36,14 +38,20 @@ envSeed()
     return s ? std::strtoull(s, nullptr, 10) : 1;
 }
 
-/** Run @p fn inside a private pool worker: every nested parallel entry
- *  point degrades to the serial (ANSMET_THREADS=1) code path. */
+/** Run @p fn as a task of a private one-lane runtime: the task is
+ *  flagged as runtime work, so every nested parallel entry point
+ *  degrades to the serial (ANSMET_THREADS=1) code path. */
 template <typename Fn>
 auto
 runSerial(Fn fn) -> decltype(fn())
 {
-    ThreadPool sandbox(2);
-    return sandbox.submit(std::move(fn)).get();
+    runtime::Runtime sandbox(
+        runtime::RuntimeConfig{runtime::CoreSet::identity(1)});
+    runtime::TaskGroup group(sandbox);
+    std::optional<decltype(fn())> out;
+    group.run(0, runtime::Task::Fn{[&] { out.emplace(fn()); }});
+    group.wait();
+    return std::move(*out);
 }
 
 // ------------------------------------------------------------------

@@ -26,10 +26,9 @@ conventions that neither the compiler nor clang-tidy checks:
                            annotated wrappers are mandatory so Clang's
                            thread-safety analysis sees every lock.
                            Likewise no direct std::thread / std::jthread
-                           / std::async outside src/common/runtime/ and
-                           the src/common/thread_pool facade — threads
-                           are spawned only by the task runtime so
-                           worker count, affinity, and shutdown stay
+                           / std::async outside src/common/runtime/ —
+                           threads are spawned only by the task runtime
+                           so worker count, affinity, and shutdown stay
                            centralized (std::this_thread is fine).
   R5  ansmet-eventcapture  No std::function inside the arguments of a
                            schedule()/scheduleIn() call in the
@@ -183,17 +182,13 @@ BANNED_SYNC = {
 SYNC_EXEMPT_SUFFIX = os.path.join("src", "common", "sync.h")
 
 # R4 (thread-spawn half): raw std::thread / std::jthread / std::async
-# outside the task runtime and its ThreadPool facade. Centralizing
+# outside the task runtime. Centralizing
 # thread creation is what keeps worker count, core affinity, the
 # nested-inline rules, and drain-then-join shutdown coherent.
 # (`std::this_thread` lexes as the single identifier `this_thread` and
 # is deliberately not banned — yield/sleep_for are fine anywhere.)
 BANNED_THREAD_SPAWN = {"thread", "jthread", "async"}
 THREAD_EXEMPT_DIRS = ("src/common/runtime",)
-THREAD_EXEMPT_FILES = (
-    "src/common/thread_pool.h",
-    "src/common/thread_pool.cc",
-)
 
 # R5/R6/R8: directories whose schedule()/scheduleIn() calls sit on the
 # simulated hot path.
@@ -770,9 +765,8 @@ def check_raw_sync(path, tokens, waived, findings):
     norm = path.replace(os.sep, "/")
     if norm.endswith("common/sync.h"):
         return
-    spawn_exempt = (any(f"/{d}/" in norm or norm.startswith(f"{d}/")
-                        for d in THREAD_EXEMPT_DIRS) or
-                    norm.endswith(THREAD_EXEMPT_FILES))
+    spawn_exempt = any(f"/{d}/" in norm or norm.startswith(f"{d}/")
+                       for d in THREAD_EXEMPT_DIRS)
     code = [t for t in tokens if t.kind in ("id", "kw", "punct")]
     for idx, tok in enumerate(code):
         if tok.kind != "id":
@@ -801,9 +795,9 @@ def check_raw_sync(path, tokens, waived, findings):
             findings.append(Finding(
                 path, tok.line, "R4",
                 f"raw std::{tok.spelling}: spawn through the task runtime "
-                f"(common/runtime/Runtime, TaskGroup, parallelFor) or the "
-                f"ThreadPool facade so worker count, core affinity, and "
-                f"drain-then-join shutdown stay centralized"))
+                f"(common/runtime/Runtime, TaskGroup, parallelFor) so "
+                f"worker count, core affinity, and drain-then-join "
+                f"shutdown stay centralized"))
 
 
 def check_event_capture(path, tokens, waived, findings):

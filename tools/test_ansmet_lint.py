@@ -245,13 +245,16 @@ class R4RawSyncTest(LintRunMixin, unittest.TestCase):
         code, _, _ = self.run_lint(p)
         self.assertEqual(code, 0)
 
-    def test_std_thread_in_thread_pool_facade_is_exempt(self):
+    def test_std_thread_in_common_outside_runtime_flags(self):
+        # Only src/common/runtime/ is exempt, not its sibling files.
         p = self.write("src/common/thread_pool.cc",
                        "#include <thread>\n"
                        "unsigned n() "
                        "{ return std::thread::hardware_concurrency(); }\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
+        code, out, _ = self.run_lint(p)
+        self.assertEqual(code, 1)
+        self.assertIn("ansmet-rawsync", out)
+        self.assertIn("task runtime", out)
 
     def test_this_thread_passes_everywhere(self):
         p = self.write("src/obs/poll.cc",
