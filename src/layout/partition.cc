@@ -9,7 +9,7 @@ namespace ansmet::layout {
 Partitioner::Partitioner(const PartitionConfig &cfg, unsigned dims,
                          unsigned bytes_per_dim, std::size_t num_vectors)
     : cfg_(cfg), dims_(dims), bytes_per_dim_(bytes_per_dim),
-      num_vectors_(num_vectors)
+      num_vectors_(num_vectors), replicated_(num_vectors, false)
 {
     ANSMET_ASSERT(cfg.numRanks >= 1 && dims >= 1 && bytes_per_dim >= 1);
 

@@ -16,9 +16,9 @@
 #define ANSMET_LAYOUT_PARTITION_H
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
+#include "common/check.h"
 #include "common/logging.h"
 #include "common/types.h"
 
@@ -98,26 +98,36 @@ class Partitioner
         return placement(v, groupOf(v));
     }
 
-    /** Mark @p hot vectors as replicated to every group. */
+    /**
+     * Mark @p hot vectors as replicated to every group. Duplicate ids
+     * count once; an id outside [0, num_vectors) panics.
+     */
     void
     replicate(const std::vector<VectorId> &hot)
     {
-        replicated_.insert(hot.begin(), hot.end());
+        for (const VectorId v : hot) {
+            ANSMET_CHECK(v < num_vectors_, "replicated id ", v,
+                         " out of range [0, ", num_vectors_, ")");
+            if (!replicated_[v]) {
+                replicated_[v] = true;
+                ++num_replicated_;
+            }
+        }
     }
 
     bool
     isReplicated(VectorId v) const
     {
-        return replicated_.count(v) != 0;
+        return v < num_vectors_ && replicated_[v];
     }
 
-    std::size_t numReplicated() const { return replicated_.size(); }
+    std::size_t numReplicated() const { return num_replicated_; }
 
     /** Replicated bytes across all extra copies. */
     std::uint64_t
     replicationBytes() const
     {
-        return static_cast<std::uint64_t>(replicated_.size()) *
+        return static_cast<std::uint64_t>(num_replicated_) *
                (num_groups_ - 1) * dims_ * bytes_per_dim_;
     }
 
@@ -132,7 +142,8 @@ class Partitioner
     unsigned dims_per_sub_;
     unsigned ranks_per_group_;
     unsigned num_groups_;
-    std::unordered_set<VectorId> replicated_;
+    std::vector<bool> replicated_;
+    std::size_t num_replicated_ = 0; //!< set bits in replicated_
 };
 
 /** Load-imbalance accounting: max-over-ranks vs average. */

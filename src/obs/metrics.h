@@ -4,8 +4,10 @@
  * and fixed-bucket (log2) histograms.
  *
  * Design constraints (see DESIGN.md, "Observability layer"):
- *  - recording on a hot path is one relaxed atomic add into a
- *    thread-local shard — no locks, no allocation, no contention;
+ *  - recording on a hot path writes a thread-local shard with no
+ *    allocation: a counter add is one lock-free relaxed atomic add; a
+ *    histogram sample holds the shard's `Shard::busy` spin lock across
+ *    its bucket and sum adds, contended only by snapshot();
  *  - shards are owned by the registry and merged only on snapshot(),
  *    so concurrent writers never synchronize with each other;
  *  - the whole layer compiles to no-ops under -DANSMET_OBS=OFF
@@ -31,8 +33,10 @@
 #include <vector>
 
 #ifndef ANSMET_OBS_DISABLED
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <thread>
 #endif
 
@@ -221,14 +225,7 @@ class Histogram
     std::uint32_t
     bucketOf(std::uint64_t v) const
     {
-        if (v == 0)
-            return 0;
-        std::uint32_t w = 0;
-        while (v != 0) {
-            ++w;
-            v >>= 1;
-        }
-        return w < buckets_ ? w : buckets_ - 1;
+        return std::min<std::uint32_t>(std::bit_width(v), buckets_ - 1);
     }
 
     std::uint32_t first_ = 0;   //!< bucket slots, then one sum slot

@@ -67,16 +67,28 @@ TEST_F(RegistryTest, HistogramBucketsByLog2)
     h.sample(1); // bucket 1: [1, 2)
     h.sample(3); // bucket 2: [2, 4)
     h.sample(1000000); // clamps into the last bucket
+    // Power-of-two edges: 2^k opens bucket k+1, 2^k - 1 closes bucket k.
+    h.sample(2);   // bucket 2
+    h.sample(4);   // bucket 3: [4, 8)
+    h.sample(7);   // bucket 3
+    h.sample(8);   // bucket 4: [8, 16)
+    h.sample(127); // bucket 7: [64, 128), the last bucket
+    h.sample(128); // bucket 8 clamps into the last bucket
     const Snapshot snap = Registry::instance().snapshot();
     const HistogramData &d = snap.histograms.at("test.hist");
-    EXPECT_EQ(d.count, 4u);
-    EXPECT_EQ(d.sum, 0u + 1 + 3 + 1000000);
+    const std::uint64_t sum = 0u + 1 + 3 + 1000000 + 2 + 4 + 7 + 8 + 127 + 128;
+    EXPECT_EQ(d.count, 10u);
+    EXPECT_EQ(d.sum, sum);
     ASSERT_EQ(d.buckets.size(), 8u);
     EXPECT_EQ(d.buckets[0], 1u);
     EXPECT_EQ(d.buckets[1], 1u);
-    EXPECT_EQ(d.buckets[2], 1u);
-    EXPECT_EQ(d.buckets[7], 1u);
-    EXPECT_DOUBLE_EQ(d.mean(), (0.0 + 1 + 3 + 1000000) / 4.0);
+    EXPECT_EQ(d.buckets[2], 2u);
+    EXPECT_EQ(d.buckets[3], 2u);
+    EXPECT_EQ(d.buckets[4], 1u);
+    EXPECT_EQ(d.buckets[5], 0u);
+    EXPECT_EQ(d.buckets[6], 0u);
+    EXPECT_EQ(d.buckets[7], 3u);
+    EXPECT_DOUBLE_EQ(d.mean(), static_cast<double>(sum) / 10.0);
 }
 
 TEST_F(RegistryTest, HistogramQuantileExactOnBucketBoundaries)

@@ -93,9 +93,10 @@ TEST(Partitioner, Replication)
 {
     Partitioner p(PartitionConfig::hybrid(32, 1024), 960, 4, 100);
     EXPECT_FALSE(p.isReplicated(3));
-    p.replicate({3, 5});
+    p.replicate({3, 5, 3}); // the duplicate id counts once
     EXPECT_TRUE(p.isReplicated(3));
     EXPECT_TRUE(p.isReplicated(5));
+    EXPECT_FALSE(p.isReplicated(4));
     EXPECT_EQ(p.numReplicated(), 2u);
     EXPECT_EQ(p.replicationBytes(),
               2ull * (p.numGroups() - 1) * 960 * 4);
@@ -106,6 +107,8 @@ TEST(Partitioner, Replication)
         EXPECT_GE(s.rank, foreign * p.ranksPerGroup());
         EXPECT_LT(s.rank, (foreign + 1) * p.ranksPerGroup());
     }
+
+    EXPECT_DEATH(p.replicate({100}), "out of range");
 }
 
 TEST(LoadTracker, ImbalanceRatio)

@@ -2,19 +2,17 @@
 """Unit tests for tools/ansmet_lint.py (stdlib unittest only).
 
 Run directly:  python3 tools/test_ansmet_lint.py
-Each rule R1-R12 gets a triggering fixture and a passing fixture, plus
-a waiver fixture for the semantic rules, tests for the NOLINT
-suppression mechanics, lexer regressions (spliced comments, raw
-strings, digit separators), the forced-libclang skip path, the SARIF
-and cache/--changed-only driver paths, and a clean run over the real
-tree.
+Each rule R1-R10 and R12 gets a triggering fixture and a passing
+fixture, plus a waiver fixture for the semantic rules, tests for the
+NOLINT suppression mechanics, lexer regressions (spliced comments, raw
+strings, digit separators), the SARIF driver path, and a clean run
+over the real tree.
 """
 
 import contextlib
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 import unittest
@@ -29,7 +27,7 @@ REPO = os.path.abspath(
 
 class LintRunMixin:
     """Writes fixture files into a fake repo tree and runs the linter
-    over them with the lexical engine (deterministic, no libclang)."""
+    over them."""
 
     def setUp(self):
         self._tmp = tempfile.TemporaryDirectory()
@@ -43,10 +41,9 @@ class LintRunMixin:
             f.write(text)
         return path
 
-    def run_lint(self, *paths, engine="lexical", extra=()):
+    def run_lint(self, *paths, extra=()):
         out, err = io.StringIO(), io.StringIO()
-        argv = ["--engine", engine, "--repo", self.root, *extra,
-                *paths]
+        argv = ["--repo", self.root, *extra, *paths]
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
             code = ansmet_lint.main(argv)
@@ -759,84 +756,6 @@ class R10CheckPureTest(LintRunMixin, unittest.TestCase):
         self.assertEqual(code, 0)
 
 
-class R11MustUseTest(LintRunMixin, unittest.TestCase):
-    def test_bare_trypush_discard_flags(self):
-        p = self.write(
-            "src/common/chan.cc",
-            "void f(Chan &ch) {\n"
-            "    ch.tryPush(7);\n"
-            "}\n")
-        code, out, _ = self.run_lint(p)
-        self.assertEqual(code, 1)
-        self.assertIn("ansmet-mustuse", out)
-        self.assertIn("tryPush", out)
-        self.assertIn("NOT enqueued", out)
-
-    def test_bare_cancelable_schedule_discard_flags(self):
-        p = self.write(
-            "src/sim/arm.cc",
-            "void f(Q &q, Tick t) {\n"
-            "    q.scheduleCancelable(t, [] {});\n"
-            "}\n")
-        code, out, _ = self.run_lint(p)
-        self.assertEqual(code, 1)
-        self.assertIn("scheduleCancelable", out)
-        self.assertIn("descheduled", out)
-
-    def test_checked_and_stored_results_pass(self):
-        p = self.write(
-            "src/common/chan.cc",
-            "bool f(Chan &ch, Q &q, Tick t, Hist &h) {\n"
-            "    if (!ch.tryPush(7)) return false;\n"
-            "    const bool ok = ch.tryPush(8);\n"
-            "    auto handle = q.scheduleCancelable(t, [] {});\n"
-            "    use(handle, h.quantile(0.99));\n"
-            "    return ok && ch.tryPush(9);\n"
-            "}\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-    def test_void_cast_acknowledges_discard(self):
-        p = self.write(
-            "src/common/chan.cc",
-            "void f(Chan &ch) {\n"
-            "    (void)ch.tryPush(7);\n"
-            "}\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-    def test_declaration_is_not_a_discard(self):
-        p = self.write(
-            "src/common/chan.h",
-            "struct Chan {\n"
-            "    [[nodiscard]] bool tryPush(int v);\n"
-            "    bool tryOffer(uint64_t id, size_t i, Tick now);\n"
-            "};\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-    def test_unbraced_if_body_discard_flags(self):
-        p = self.write(
-            "src/common/chan.cc",
-            "void f(Chan &ch, bool urgent) {\n"
-            "    if (urgent) ch.tryPush(7);\n"
-            "}\n")
-        code, out, _ = self.run_lint(p)
-        self.assertEqual(code, 1)
-        self.assertIn("ansmet-mustuse", out)
-
-    def test_waiver_with_justification_passes(self):
-        p = self.write(
-            "src/common/chan.cc",
-            "void f(Chan &ch) {\n"
-            "    // NOLINTNEXTLINE(ansmet-mustuse): best-effort wake; "
-            "drop is benign here.\n"
-            "    ch.tryPush(7);\n"
-            "}\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-
-
 class R12CbBlockTest(LintRunMixin, unittest.TestCase):
     def test_mutexlock_in_schedule_callback_flags(self):
         p = self.write(
@@ -978,40 +897,7 @@ class SuppressionMechanicsTest(LintRunMixin, unittest.TestCase):
         self.assertIn("ansmet-determinism", out)
 
 
-class EngineAndDriverTest(LintRunMixin, unittest.TestCase):
-    def test_forced_libclang_absent_skips_with_exit_zero(self):
-        env_key = "ANSMET_LINT_FORCE_NO_LIBCLANG"
-        old = os.environ.get(env_key)
-        os.environ[env_key] = "1"
-        try:
-            p = self.write("src/sim/bad.cc",
-                           "int f() { return rand(); }\n")
-            code, _, err = self.run_lint(p, engine="libclang")
-            self.assertEqual(code, 0)
-            self.assertIn("SKIPPING", err)
-        finally:
-            if old is None:
-                del os.environ[env_key]
-            else:
-                os.environ[env_key] = old
-
-    def test_auto_engine_reports_fallback_but_still_finds(self):
-        env_key = "ANSMET_LINT_FORCE_NO_LIBCLANG"
-        old = os.environ.get(env_key)
-        os.environ[env_key] = "1"
-        try:
-            p = self.write("src/sim/bad.cc",
-                           "int f() { return rand(); }\n")
-            code, out, err = self.run_lint(p, engine="auto")
-            self.assertEqual(code, 1)
-            self.assertIn("falling back", err)
-            self.assertIn("ansmet-determinism", out)
-        finally:
-            if old is None:
-                del os.environ[env_key]
-            else:
-                os.environ[env_key] = old
-
+class DriverTest(LintRunMixin, unittest.TestCase):
     def test_directory_walk_finds_nested_files(self):
         self.write("src/ndp/deep/unit.cc",
                    "int f() { return rand(); }\n")
@@ -1029,16 +915,17 @@ class EngineAndDriverTest(LintRunMixin, unittest.TestCase):
                      "ansmet-eventcapture", "ansmet-tickunits",
                      "ansmet-lockorder", "ansmet-danglecapture",
                      "ansmet-detflow", "ansmet-checkpure",
-                     "ansmet-mustuse", "ansmet-cbblock"):
+                     "ansmet-cbblock"):
             self.assertIn(name, out.getvalue())
+        self.assertEqual(len(out.getvalue().splitlines()), 11)
 
 
 class SarifOutputTest(LintRunMixin, unittest.TestCase):
     def test_sarif_findings_parse_and_carry_rule_ids(self):
         p = self.write(
-            "src/common/chan.cc",
-            "void f(Chan &ch) {\n"
-            "    ch.tryPush(7);\n"
+            "src/sim/bad.cc",
+            "int f() {\n"
+            "    return rand();\n"
             "}\n")
         code, out, _ = self.run_lint(p, extra=("--format", "sarif"))
         self.assertEqual(code, 1)
@@ -1047,14 +934,14 @@ class SarifOutputTest(LintRunMixin, unittest.TestCase):
         run = doc["runs"][0]
         self.assertEqual(run["tool"]["driver"]["name"], "ansmet_lint")
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        self.assertEqual(len(rule_ids), 12)
-        self.assertIn("R11/ansmet-mustuse", rule_ids)
+        self.assertEqual(len(rule_ids), 11)
+        self.assertIn("R1/ansmet-determinism", rule_ids)
         res = run["results"][0]
-        self.assertEqual(res["ruleId"], "R11/ansmet-mustuse")
+        self.assertEqual(res["ruleId"], "R1/ansmet-determinism")
         self.assertEqual(rule_ids[res["ruleIndex"]], res["ruleId"])
         loc = res["locations"][0]["physicalLocation"]
         self.assertTrue(
-            loc["artifactLocation"]["uri"].endswith("chan.cc"))
+            loc["artifactLocation"]["uri"].endswith("bad.cc"))
         self.assertEqual(loc["region"]["startLine"], 2)
 
     def test_sarif_clean_run_emits_valid_empty_log(self):
@@ -1074,92 +961,12 @@ class SarifOutputTest(LintRunMixin, unittest.TestCase):
             self.assertEqual(json.load(fh)["version"], "2.1.0")
 
 
-class CacheTest(LintRunMixin, unittest.TestCase):
-    """The cache must be invisible: warm runs bitwise-match cold runs,
-    including R7 findings that depend on cross-file lock facts."""
-
-    CYCLE = {
-        "src/sim/a.cc":
-            "void fa() { MutexLock a(mu_a_); takeB(); }\n",
-        "src/sim/b.cc":
-            "void takeB() { MutexLock b(mu_b_); takeA(); }\n"
-            "void takeA() { MutexLock a(mu_a_); }\n",
-    }
-
-    def test_warm_run_is_bitwise_identical_and_keeps_r7(self):
-        paths = [self.write(rel, text)
-                 for rel, text in sorted(self.CYCLE.items())]
-        cold = self.run_lint(*paths)
-        cache_dir = os.path.join(self.root, ".ansmet_cache", "lint")
-        self.assertTrue(os.path.isdir(cache_dir))
-        self.assertGreaterEqual(len(os.listdir(cache_dir)), 2)
-        warm = self.run_lint(*paths)
-        self.assertEqual(cold, warm)
-        self.assertEqual(cold[0], 1)
-        self.assertIn("ansmet-lockorder", warm[1])
-
-    def test_no_cache_flag_leaves_no_cache_dir(self):
-        p = self.write("src/common/ok.cc", "void f() {}\n")
-        code, _, _ = self.run_lint(p, extra=("--no-cache",))
-        self.assertEqual(code, 0)
-        self.assertFalse(
-            os.path.exists(os.path.join(self.root, ".ansmet_cache")))
-
-    def test_edit_invalidates_entry(self):
-        p = self.write("src/common/chan.cc",
-                       "void f(Chan &ch) { (void)ch.tryPush(7); }\n")
-        code, _, _ = self.run_lint(p)
-        self.assertEqual(code, 0)
-        p = self.write("src/common/chan.cc",
-                       "void f(Chan &ch) { ch.tryPush(7); }\n")
-        code, out, _ = self.run_lint(p)
-        self.assertEqual(code, 1)
-        self.assertIn("ansmet-mustuse", out)
-
-
-class ChangedOnlyTest(LintRunMixin, unittest.TestCase):
-    def _git(self, *argv):
-        subprocess.run(
-            ["git", *argv], cwd=self.root, check=True,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-    def test_changed_only_lints_just_dirty_files(self):
-        clean = self.write("src/sim/clean.cc",
-                           "void f(int n) { volatile int x = n; }\n")
-        self._git("init", "-q")
-        self._git("-c", "user.email=l@t", "-c", "user.name=t",
-                  "commit", "-q", "--allow-empty", "-m", "seed")
-        self._git("add", "src/sim/clean.cc")
-        self._git("-c", "user.email=l@t", "-c", "user.name=t",
-                  "commit", "-q", "-m", "clean file")
-        # Committed file now grows a violation, but stays unstaged-free:
-        # it must NOT be scanned under --changed-only.
-        dirty = self.write("src/sim/dirty.cc",
-                           "void g(Chan &ch) { ch.tryPush(1); }\n")
-        code, out, _ = self.run_lint(
-            clean, dirty, extra=("--changed-only",))
-        self.assertEqual(code, 1)
-        self.assertIn("dirty.cc", out)
-        self.assertNotIn("clean.cc:", out)
-
-    def test_changed_only_with_no_changes_is_clean(self):
-        p = self.write("src/sim/clean.cc", "void f() {}\n")
-        self._git("init", "-q")
-        self._git("add", "-A")
-        self._git("-c", "user.email=l@t", "-c", "user.name=t",
-                  "commit", "-q", "-m", "all clean")
-        code, out, _ = self.run_lint(p, extra=("--changed-only",))
-        self.assertEqual(code, 0)
-        self.assertIn("no changed files", out)
-
-
 class RealTreeTest(unittest.TestCase):
     def test_repo_src_is_clean(self):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
-            code = ansmet_lint.main(
-                ["--engine", "lexical", "--repo", REPO])
+            code = ansmet_lint.main(["--repo", REPO])
         self.assertEqual(
             code, 0,
             f"linter found issues in the real tree:\n{out.getvalue()}")
