@@ -1,10 +1,13 @@
 #include "core/experiment.h"
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "common/logging.h"
 #include "common/runtime/runtime.h"
@@ -82,13 +85,30 @@ ExperimentContext::buildOrLoadIndex()
                                                cfg_.hnsw);
     graph_seconds_ = secondsSince(t0);
 
+    // Write a private temp file, then rename it into place: another
+    // process that finds `path` must never read it half written.
     std::error_code ec;
     std::filesystem::create_directories(cacheDir(), ec);
-    if (!ec) {
-        std::ofstream out(path, std::ios::binary);
+    if (ec)
+        return;
+    // relaxed: only uniqueness of the value matters.
+    static std::atomic<unsigned> next_tmp{0};
+    auto tmp = path;
+    tmp += ".tmp" + std::to_string(::getpid()) + "_" +
+           std::to_string(next_tmp.fetch_add(1, std::memory_order_relaxed));
+    {
+        std::ofstream out(tmp, std::ios::binary);
         if (out)
             index_->save(out);
+        out.close();
+        if (!out) {
+            std::filesystem::remove(tmp, ec);
+            return;
+        }
     }
+    std::filesystem::rename(tmp, path, ec);
+    if (ec)
+        std::filesystem::remove(tmp, ec);
 }
 
 const std::vector<std::vector<anns::Neighbor>> &

@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/runtime/runtime.h"
 #include "ndp/instr.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ansmet::core {
@@ -74,6 +75,15 @@ class SystemModel::QueryContext
         unsigned writes = 0;
     };
 
+    /** Trace span [start, end] on this query's row of the run. */
+    void
+    span(std::string_view name, Tick start, Tick end) const
+    {
+        obs::TraceWriter::instance().span(sys_.eq_.record(), name,
+                                          static_cast<std::uint32_t>(qidx_),
+                                          start, end);
+    }
+
     /** Mark (unit, qshr slot) as query-loaded; true on first use. */
     bool
     loadQuerySlot(unsigned unit, unsigned slot)
@@ -140,9 +150,7 @@ class SystemModel::QueryContext
     afterIndex()
     {
         stats_.traversal += sys_.eq_.now() - step_start_;
-        obs::TraceWriter::instance().span(
-            "traverse", static_cast<std::uint32_t>(qidx_), step_start_,
-            sys_.eq_.now());
+        span("traverse", step_start_, sys_.eq_.now());
         const TraceStep &s = trace_->steps[step_];
         if (s.tasks.empty()) {
             finishStep();
@@ -165,9 +173,7 @@ class SystemModel::QueryContext
         const TraceStep &s = trace_->steps[step_];
         if (task_ >= s.tasks.size()) {
             stats_.distComp += sys_.eq_.now() - offload_start_;
-            obs::TraceWriter::instance().span(
-                "compute", static_cast<std::uint32_t>(qidx_),
-                offload_start_, sys_.eq_.now());
+            span("compute", offload_start_, sys_.eq_.now());
             finishStep();
             return;
         }
@@ -313,9 +319,7 @@ class SystemModel::QueryContext
             return;
         offload_done_ = sys_.eq_.now();
         stats_.offload += offload_done_ - offload_start_;
-        obs::TraceWriter::instance().span(
-            "offload", static_cast<std::uint32_t>(qidx_), offload_start_,
-            offload_done_);
+        span("offload", offload_start_, offload_done_);
         all_tasks_submitted_ = true;
         if (pending_sub_ == 0)
             tasksFinished(offload_done_);
@@ -337,9 +341,7 @@ class SystemModel::QueryContext
         tasks_done_ = true;
         last_task_done_ = when;
         stats_.distComp += when - offload_done_;
-        obs::TraceWriter::instance().span(
-            "compute", static_cast<std::uint32_t>(qidx_), offload_done_,
-            when);
+        span("compute", offload_done_, when);
         if (sys_.cfg_.polling.mode == ndp::PollingMode::kIdeal)
             collected();
     }
@@ -409,9 +411,7 @@ class SystemModel::QueryContext
             return;
         collected_ = true;
         stats_.collect += sys_.eq_.now() - last_task_done_;
-        obs::TraceWriter::instance().span(
-            "collect", static_cast<std::uint32_t>(qidx_), last_task_done_,
-            sys_.eq_.now());
+        span("collect", last_task_done_, sys_.eq_.now());
         finishStep();
     }
 
@@ -491,8 +491,9 @@ class SystemModel::QueryContext
                  static_cast<std::int64_t>(stats_.linesIneffectual)},
                 {"polls", static_cast<std::int64_t>(stats_.polls)},
             };
-            tw.span("query", static_cast<std::uint32_t>(qidx_),
-                    stats_.start, stats_.end, args, std::size(args));
+            tw.span(sys_.eq_.record(), "query",
+                    static_cast<std::uint32_t>(qidx_), stats_.start,
+                    stats_.end, args, std::size(args));
         }
         sys_.run_stats_->queries.push_back(stats_);
         // Hand the slot back before notifying: the callback may begin()
@@ -720,7 +721,8 @@ SystemModel::beginSession(const std::vector<QueryTrace> &traces,
     ran_ = true;
     // A figure binary replays many designs from tick 0 each; a fresh
     // pid per run keeps their timelines from overlapping in the trace.
-    obs::TraceWriter::instance().beginRun(designName(cfg_.design));
+    eq_.record().setTracePid(
+        obs::TraceWriter::instance().beginRun(designName(cfg_.design)));
 
     session_stats_ = RunStats{};
     run_stats_ = &session_stats_;
@@ -763,6 +765,8 @@ SystemModel::endSession()
     rs.makespan = eq_.now() - Tick{};
     rs.loadImbalance = loads_ ? loads_->imbalanceRatio() : 1.0;
     rs.energy = collectEnergy(rs);
+    // Everything the run measured becomes visible to snapshots at once.
+    obs::Registry::instance().publish(eq_.record());
     run_stats_ = nullptr;
     traces_ = nullptr;
     return rs;

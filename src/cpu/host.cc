@@ -1,29 +1,16 @@
 #include "cpu/host.h"
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 
 namespace ansmet::cpu {
 
-namespace {
-
-struct HostMetrics
+HostCpu::Metrics::Metrics(obs::RunRecord &rec)
+    : computeCycles(rec.counter("host.compute_cycles")),
+      linesRead(rec.counter("host.lines_read")),
+      cacheHits(rec.counter("host.cache_hits")),
+      cacheMisses(rec.counter("host.cache_misses"))
 {
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Counter computeCycles = reg.counter("host.compute_cycles");
-    obs::Counter linesRead = reg.counter("host.lines_read");
-    obs::Counter cacheHits = reg.counter("host.cache_hits");
-    obs::Counter cacheMisses = reg.counter("host.cache_misses");
-};
-
-HostMetrics &
-hostMetrics()
-{
-    static HostMetrics m;
-    return m;
 }
-
-} // namespace
 
 HostCpu::HostCpu(sim::EventQueue &eq, const HostParams &hp,
                  const dram::TimingParams &tp, const dram::OrgParams &org)
@@ -42,7 +29,7 @@ HostCpu::compute(std::uint64_t cycles, Callback done)
 {
     const TickDelta ticks = cycles * hp_.period();
     compute_busy_ += ticks;
-    hostMetrics().computeCycles.add(cycles);
+    m_.computeCycles.add(cycles);
     eq_.scheduleIn(ticks, std::move(done));
 }
 
@@ -119,10 +106,9 @@ HostCpu::read(Addr addr, unsigned lines, Callback done)
         };
         channels_[m.channel]->enqueue(m.rank, std::move(req));
     }
-    HostMetrics &hm = hostMetrics();
-    hm.linesRead.add(lines);
-    hm.cacheHits.add(hits);
-    hm.cacheMisses.add(lines - hits);
+    m_.linesRead.add(lines);
+    m_.cacheHits.add(hits);
+    m_.cacheMisses.add(lines - hits);
 }
 
 void

@@ -24,6 +24,7 @@
 #include "cache/cache.h"
 #include "common/types.h"
 #include "dram/controller.h"
+#include "obs/metrics.h"
 #include "sim/event_queue.h"
 
 namespace ansmet::cpu {
@@ -129,6 +130,17 @@ class HostCpu
     std::vector<ReadOp> read_pool_;
     std::vector<std::uint32_t> read_free_;
     TickDelta compute_busy_{};
+
+    /** The run's host.* entries in eq_.record(), bound once. */
+    struct Metrics
+    {
+        explicit Metrics(obs::RunRecord &rec);
+        obs::RunCounter &computeCycles;
+        obs::RunCounter &linesRead;
+        obs::RunCounter &cacheHits;
+        obs::RunCounter &cacheMisses;
+    };
+    Metrics m_{eq_.record()};
 };
 
 } // namespace ansmet::cpu

@@ -5,38 +5,28 @@
 #include <cstdlib>
 
 #include "common/check.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ansmet::dram {
 
 namespace {
 
-struct DramMetrics
-{
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Counter reads = reg.counter("dram.reads");
-    obs::Counter writes = reg.counter("dram.writes");
-    obs::Counter rowActivates = reg.counter("dram.row_activates");
-    obs::Counter rowConflicts = reg.counter("dram.row_conflicts");
-    obs::Counter busTransfers = reg.counter("dram.bus_transfers");
-    obs::Histogram queueDepth = reg.histogram("dram.queue_depth", 16);
-    obs::Histogram queueLatency =
-        reg.histogram("dram.queue_latency_ps", 48);
-};
-
-DramMetrics &
-dramMetrics()
-{
-    static DramMetrics m;
-    return m;
-}
-
 /** Sample one queue-depth trace point per this many enqueues; the
  *  full-rate track would dominate the trace file. */
 constexpr std::uint64_t kQueueSampleStride = 64;
 
 } // namespace
+
+MemController::Metrics::Metrics(obs::RunRecord &rec)
+    : reads(rec.counter("dram.reads")),
+      writes(rec.counter("dram.writes")),
+      rowActivates(rec.counter("dram.row_activates")),
+      rowConflicts(rec.counter("dram.row_conflicts")),
+      busTransfers(rec.counter("dram.bus_transfers")),
+      queueDepth(rec.histogram("dram.queue_depth", 16)),
+      queueLatency(rec.histogram("dram.queue_latency_ps", 48))
+{
+}
 
 MemController::MemController(sim::EventQueue &eq, const TimingParams &tp,
                              const OrgParams &org, unsigned num_ranks,
@@ -69,14 +59,13 @@ MemController::enqueue(unsigned rank, Request req)
     p.order = next_order_++;
     queue_.push_back(idx);
     ++transfers_;
-    DramMetrics &m = dramMetrics();
-    (p.req.isWrite ? m.writes : m.reads).inc();
-    m.queueDepth.sample(queue_.size());
+    (p.req.isWrite ? m_.writes : m_.reads).inc();
+    m_.queueDepth.sample(queue_.size());
     if (obs_enq_++ % kQueueSampleStride == 0) {
         auto &tw = obs::TraceWriter::instance();
         if (tw.enabled()) {
-            tw.counter(name_ + ".bankq", obs::dramLaneTid(0),
-                       eq_.now(),
+            tw.counter(eq_.record(), name_ + ".bankq",
+                       obs::dramLaneTid(0), eq_.now(),
                        static_cast<std::int64_t>(queue_.size()));
         }
     }
@@ -116,13 +105,13 @@ MemController::issueFor(Pending &p, const Candidate &c, Tick t)
     switch (c.cmd) {
       case Command::kAct:
         dev.issueAct(p.req.addr, t);
-        dramMetrics().rowActivates.inc();
+        m_.rowActivates.inc();
         break;
       case Command::kPre:
         // A precharge on this path always means an open-row conflict
         // (closed banks go straight to kAct).
         dev.issuePre(p.req.addr, t);
-        dramMetrics().rowConflicts.inc();
+        m_.rowConflicts.inc();
         break;
       case Command::kRd:
       case Command::kWr: {
@@ -132,7 +121,7 @@ MemController::issueFor(Pending &p, const Candidate &c, Tick t)
                      "data bus overlap at ", data_start);
         data_bus_free_at_ = data_end;
         data_bus_busy_ += tp_.cycles(tp_.tBL);
-        dramMetrics().queueLatency.sample((t - p.req.arrival).raw());
+        m_.queueLatency.sample((t - p.req.arrival).raw());
         scheduleCompletion(data_end, std::move(p.req.onComplete));
         break;
       }
@@ -146,7 +135,7 @@ MemController::enqueueBusTransfer(bool is_write, Request::Callback cb)
 {
     bus_queue_.push_back(BusTransfer{is_write, eq_.now(), std::move(cb)});
     ++transfers_;
-    dramMetrics().busTransfers.inc();
+    m_.busTransfers.inc();
     scheduleKick(eq_.now());
 }
 

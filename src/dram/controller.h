@@ -22,6 +22,7 @@
 #include "dram/device.h"
 #include "dram/params.h"
 #include "dram/types.h"
+#include "obs/metrics.h"
 #include "sim/event_queue.h"
 
 namespace ansmet::dram {
@@ -134,6 +135,20 @@ class MemController
 
     /** Enqueue count for stride-sampling the obs queue-depth track. */
     std::uint64_t obs_enq_ = 0;
+
+    /** The run's dram.* entries in eq_.record(), bound once. */
+    struct Metrics
+    {
+        explicit Metrics(obs::RunRecord &rec);
+        obs::RunCounter &reads;
+        obs::RunCounter &writes;
+        obs::RunCounter &rowActivates;
+        obs::RunCounter &rowConflicts;
+        obs::RunCounter &busTransfers;
+        obs::RunHistogram &queueDepth;
+        obs::RunHistogram &queueLatency;
+    };
+    Metrics m_{eq_.record()};
 };
 
 /**

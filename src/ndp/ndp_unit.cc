@@ -4,34 +4,19 @@
 
 #include "common/bitops.h"
 #include "common/check.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ansmet::ndp {
 
-namespace {
-
-struct NdpMetrics
+NdpUnit::Metrics::Metrics(obs::RunRecord &rec)
+    : tasks(rec.counter("ndp.tasks_completed")),
+      lines(rec.counter("ndp.lines_fetched")),
+      backpressure(rec.counter("ndp.backpressure_staged")),
+      taskLines(rec.histogram("ndp.task_lines", 16)),
+      taskLatency(rec.histogram("ndp.task_latency_ps", 48)),
+      slotOccupancy(rec.histogram("ndp.qshr_slot_occupancy", 8))
 {
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Counter tasks = reg.counter("ndp.tasks_completed");
-    obs::Counter lines = reg.counter("ndp.lines_fetched");
-    obs::Counter backpressure = reg.counter("ndp.backpressure_staged");
-    obs::Histogram taskLines = reg.histogram("ndp.task_lines", 16);
-    obs::Histogram taskLatency =
-        reg.histogram("ndp.task_latency_ps", 48);
-    obs::Histogram slotOccupancy =
-        reg.histogram("ndp.qshr_slot_occupancy", 8);
-};
-
-NdpMetrics &
-ndpMetrics()
-{
-    static NdpMetrics m;
-    return m;
 }
-
-} // namespace
 
 NdpUnit::NdpUnit(sim::EventQueue &eq, const NdpParams &np,
                  const dram::TimingParams &tp, const dram::OrgParams &org,
@@ -61,13 +46,13 @@ NdpUnit::submit(unsigned qshr, NdpTask task)
                       (q.fifo.empty() && q.staged.empty() &&
                        q.linesToIssue == 0 && q.linesInFlight == 0),
                   "idle QSHR ", qshr, " holds stale task state");
-    ndpMetrics().slotOccupancy.sample(q.fifo.size());
+    m_.slotOccupancy.sample(q.fifo.size());
     if (q.fifo.size() >= np_.tasksPerQshr) {
         // All architectural slots busy: stage host-side until one
         // frees. Execution order is unchanged (strict FIFO per QSHR).
         q.staged.push_back(std::move(task));
         ++backpressure_events_;
-        ndpMetrics().backpressure.inc();
+        m_.backpressure.inc();
         return;
     }
     q.fifo.push_back(std::move(task));
@@ -133,7 +118,7 @@ NdpUnit::issueWindow(unsigned qshr)
         --q.linesToIssue;
         ++q.linesInFlight;
         ++lines_fetched_;
-        ndpMetrics().lines.inc();
+        m_.lines.inc();
         ctrl_->enqueue(0, std::move(req));
     }
 }
@@ -186,12 +171,12 @@ NdpUnit::lineArrived(unsigned qshr, Tick when)
             qs.staged.pop_front();
         }
         ++tasks_completed_;
-        NdpMetrics &m = ndpMetrics();
-        m.tasks.inc();
-        m.taskLines.sample(std::max(1u, done.lines));
-        m.taskLatency.sample((end - qs.headStart).raw());
-        obs::TraceWriter::instance().span(
-            "ndp_task", obs::ndpLaneTid(id_, qshr), qs.headStart, end);
+        m_.tasks.inc();
+        m_.taskLines.sample(std::max(1u, done.lines));
+        m_.taskLatency.sample((end - qs.headStart).raw());
+        obs::TraceWriter::instance().span(eq_.record(), "ndp_task",
+                                          obs::ndpLaneTid(id_, qshr),
+                                          qs.headStart, end);
         if (done.onComplete)
             done.onComplete(end);
         startNext(qshr);

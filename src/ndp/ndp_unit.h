@@ -26,6 +26,7 @@
 
 #include "common/ring_deque.h"
 #include "dram/controller.h"
+#include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "sim/inline_callback.h"
 
@@ -146,6 +147,19 @@ class NdpUnit
     std::uint64_t lines_fetched_ = 0;
     std::uint64_t tasks_completed_ = 0;
     std::uint64_t backpressure_events_ = 0;
+
+    /** The run's ndp.* entries in eq_.record(), bound once. */
+    struct Metrics
+    {
+        explicit Metrics(obs::RunRecord &rec);
+        obs::RunCounter &tasks;
+        obs::RunCounter &lines;
+        obs::RunCounter &backpressure;
+        obs::RunHistogram &taskLines;
+        obs::RunHistogram &taskLatency;
+        obs::RunHistogram &slotOccupancy;
+    };
+    Metrics m_{eq_.record()};
 };
 
 } // namespace ansmet::ndp

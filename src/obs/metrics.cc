@@ -1,10 +1,7 @@
 #include "obs/metrics.h"
 
-#ifndef ANSMET_OBS_DISABLED
-
 #include <cstdio>
 #include <memory>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/sync.h"
@@ -53,17 +50,6 @@ Snapshot::toJson() const
     }
     out += first ? "},\n" : "\n  },\n";
 
-    out += "  \"gauges\": {";
-    first = true;
-    for (const auto &[name, v] : gauges) {
-        out += first ? "\n    " : ",\n    ";
-        first = false;
-        appendJsonString(out, name);
-        out += ": ";
-        out += std::to_string(v);
-    }
-    out += first ? "},\n" : "\n  },\n";
-
     out += "  \"histograms\": {";
     first = true;
     for (const auto &[name, h] : histograms) {
@@ -92,56 +78,49 @@ Snapshot::toJson() const
     return out;
 }
 
-namespace {
-
-enum class Kind { kCounter, kHistogram };
-
-struct MetricInfo
+RunHistogram::RunHistogram(unsigned buckets)
 {
-    Kind kind;
-    std::uint32_t slot;    //!< first shard slot
-    std::uint32_t buckets; //!< histogram bucket count (0 for counters)
-};
+    ANSMET_CHECK(buckets >= 1 && buckets <= 64,
+                 "obs: histogram bucket count ", buckets, " out of range");
+    data_.buckets.assign(buckets, 0);
+}
 
-} // namespace
+RunCounter &
+RunRecord::counter(std::string_view name)
+{
+    for (auto &[n, c] : counters_)
+        if (n == name)
+            return c;
+    return counters_.emplace_back(std::string(name), RunCounter{}).second;
+}
+
+RunHistogram &
+RunRecord::histogram(std::string_view name, unsigned buckets)
+{
+    for (auto &[n, h] : histograms_) {
+        if (n == name) {
+            ANSMET_CHECK(h.data().buckets.size() == buckets,
+                         "obs: histogram '", name,
+                         "' re-registered with a different shape");
+            return h;
+        }
+    }
+    return histograms_.emplace_back(std::string(name), RunHistogram(buckets))
+        .second;
+}
 
 struct Registry::Impl
 {
     mutable Mutex mu;
-    std::unordered_map<std::string, MetricInfo> metrics
+    // Worker-thread counters: name -> shard slot.
+    std::map<std::string, std::uint32_t> slots
         ANSMET_GUARDED_BY(mu);
-    // Gauge cells are individually heap-owned atomics: the map is
-    // guarded, but a handle's pointer into it escapes the lock on
-    // purpose (relaxed last-writer-wins set/add, no merging).
-    std::unordered_map<std::string,
-                       std::unique_ptr<std::atomic<std::int64_t>>>
-        gauges ANSMET_GUARDED_BY(mu);
     std::vector<std::unique_ptr<detail::Shard>> shards
         ANSMET_GUARDED_BY(mu);
     std::uint32_t nextSlot ANSMET_GUARDED_BY(mu) = 0;
-
-    std::uint32_t
-    allocate(std::string_view name, Kind kind, std::uint32_t slots,
-             std::uint32_t buckets) ANSMET_EXCLUDES(mu)
-    {
-        MutexLock lock(mu);
-        auto it = metrics.find(std::string(name));
-        if (it != metrics.end()) {
-            ANSMET_CHECK(it->second.kind == kind &&
-                             it->second.buckets == buckets,
-                         "obs: metric '", name,
-                         "' re-registered with a different kind or shape");
-            return it->second.slot;
-        }
-        ANSMET_CHECK(nextSlot + slots <= detail::kShardSlots,
-                     "obs: shard capacity exhausted (",
-                     detail::kShardSlots, " slots); raise kShardSlots");
-        std::uint32_t slot = nextSlot;
-        nextSlot += slots;
-        metrics.emplace(std::string(name),
-                        MetricInfo{kind, slot, buckets});
-        return slot;
-    }
+    // Totals of every published RunRecord.
+    std::map<std::string, std::uint64_t> counters ANSMET_GUARDED_BY(mu);
+    std::map<std::string, HistogramData> histograms ANSMET_GUARDED_BY(mu);
 };
 
 Registry::Impl &
@@ -181,28 +160,38 @@ newShard()
 Counter
 Registry::counter(std::string_view name)
 {
-    return Counter(impl().allocate(name, Kind::kCounter, 1, 0));
+    Impl &i = impl();
+    MutexLock lock(i.mu);
+    const auto [it, fresh] = i.slots.try_emplace(std::string(name), 0);
+    if (fresh) {
+        ANSMET_CHECK(i.nextSlot < detail::kShardSlots,
+                     "obs: shard capacity exhausted (", detail::kShardSlots,
+                     " slots); raise kShardSlots");
+        it->second = i.nextSlot++;
+    }
+    return Counter(it->second);
 }
 
-Gauge
-Registry::gauge(std::string_view name)
+void
+Registry::publish(const RunRecord &run)
 {
     Impl &i = impl();
     MutexLock lock(i.mu);
-    auto &cell = i.gauges[std::string(name)];
-    if (!cell)
-        cell = std::make_unique<std::atomic<std::int64_t>>(0);
-    return Gauge(cell.get());
-}
-
-Histogram
-Registry::histogram(std::string_view name, unsigned buckets)
-{
-    ANSMET_CHECK(buckets >= 1 && buckets <= 64,
-                 "obs: histogram bucket count ", buckets, " out of range");
-    std::uint32_t slot = impl().allocate(name, Kind::kHistogram,
-                                         buckets + 1, buckets);
-    return Histogram(slot, buckets);
+    for (const auto &[name, c] : run.counters_)
+        i.counters[name] += c.value();
+    for (const auto &[name, h] : run.histograms_) {
+        const HistogramData &src = h.data();
+        HistogramData &dst = i.histograms[name];
+        if (dst.buckets.empty())
+            dst.buckets.assign(src.buckets.size(), 0);
+        ANSMET_CHECK(dst.buckets.size() == src.buckets.size(),
+                     "obs: histogram '", name,
+                     "' published with a different shape");
+        for (std::size_t b = 0; b < src.buckets.size(); ++b)
+            dst.buckets[b] += src.buckets[b];
+        dst.count += src.count;
+        dst.sum += src.sum;
+    }
 }
 
 Snapshot
@@ -210,34 +199,15 @@ Registry::snapshot() const
 {
     Impl &i = impl();
     MutexLock lock(i.mu);
-
-    // Merge every shard slot-wise first, then slice per metric. Each
-    // shard is copied under its lock, so no histogram sample is half
-    // applied in the copy and bucket counts agree with sums.
-    std::vector<std::uint64_t> merged(i.nextSlot, 0);
-    for (const auto &shard : i.shards) {
-        shard->lock();
-        for (std::uint32_t s = 0; s < i.nextSlot; ++s)
-            merged[s] += shard->slots[s].load(std::memory_order_relaxed);
-        shard->unlock();
-    }
-
     Snapshot snap;
-    for (const auto &[name, info] : i.metrics) {
-        if (info.kind == Kind::kCounter) {
-            snap.counters[name] = merged[info.slot];
-        } else {
-            HistogramData h;
-            h.buckets.assign(merged.begin() + info.slot,
-                             merged.begin() + info.slot + info.buckets);
-            for (std::uint64_t b : h.buckets)
-                h.count += b;
-            h.sum = merged[info.slot + info.buckets];
-            snap.histograms[name] = std::move(h);
-        }
+    snap.counters = i.counters;
+    snap.histograms = i.histograms;
+    for (const auto &[name, slot] : i.slots) {
+        std::uint64_t sum = 0;
+        for (const auto &shard : i.shards)
+            sum += shard->slots[slot].load(std::memory_order_relaxed);
+        snap.counters[name] += sum;
     }
-    for (const auto &[name, cell] : i.gauges)
-        snap.gauges[name] = cell->load(std::memory_order_relaxed);
     return snap;
 }
 
@@ -255,22 +225,10 @@ Registry::reset()
     for (const auto &shard : i.shards)
         for (auto &slot : shard->slots)
             slot.store(0, std::memory_order_relaxed);
-    for (const auto &[name, cell] : i.gauges)
-        cell->store(0, std::memory_order_relaxed);
+    for (auto &[name, v] : i.counters)
+        v = 0;
+    for (auto &[name, h] : i.histograms)
+        h = HistogramData{std::vector<std::uint64_t>(h.buckets.size(), 0)};
 }
 
 } // namespace ansmet::obs
-
-#else // ANSMET_OBS_DISABLED
-
-namespace ansmet::obs {
-
-std::string
-Snapshot::toJson() const
-{
-    return "{}";
-}
-
-} // namespace ansmet::obs
-
-#endif

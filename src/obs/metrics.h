@@ -1,48 +1,50 @@
 /**
  * @file
- * Low-overhead metrics registry: process-wide named counters, gauges,
- * and fixed-bucket (log2) histograms.
+ * Metrics: per-run records, and the process-wide registry they are
+ * published into.
  *
- * Design constraints (see DESIGN.md, "Observability layer"):
- *  - recording on a hot path writes a thread-local shard with no
- *    allocation: a counter add is one lock-free relaxed atomic add; a
- *    histogram sample holds the shard's `Shard::busy` spin lock across
- *    its bucket and sum adds, contended only by snapshot();
- *  - shards are owned by the registry and merged only on snapshot(),
- *    so concurrent writers never synchronize with each other;
- *  - the whole layer compiles to no-ops under -DANSMET_OBS=OFF
- *    (ANSMET_OBS_DISABLED), and recording never feeds back into any
- *    simulated quantity, so figure output is bitwise identical with
- *    observability on or off.
+ * Two kinds of writer, two mechanisms (see DESIGN.md, "Observability
+ * layer"):
+ *  - a simulated run is a single-threaded event loop. Everything it
+ *    measures goes into one RunRecord owned by the run's
+ *    sim::EventQueue: plain, non-atomic RunCounter and RunHistogram
+ *    entries plus the run's trace pid. Each entry has exactly one
+ *    writer. SystemModel::endSession() publishes the record into the
+ *    Registry once, under the registry mutex, so a snapshot never sees
+ *    a run half applied;
+ *  - worker-thread code (et.*, hnsw.*) records through Counter handles:
+ *    one lock-free relaxed add into a thread-local shard, merged only
+ *    by snapshot().
  *
- * Handles are tiny value types: obtain them once (typically via a
- * function-local static) and record through them ever after:
+ * Recording never feeds back into any simulated quantity, so figure
+ * output does not depend on it.
+ *
+ *   obs::RunCounter &reads = eq.record().counter("dram.reads");
+ *   reads.inc();                          // event thread, plain add
  *
  *   static obs::Counter c = obs::Registry::instance().counter("x.y");
- *   c.add(n);
+ *   c.add(n);                             // any thread
  */
 
-#ifndef ANSMET_OBS_METRICS_H
-#define ANSMET_OBS_METRICS_H
+#ifndef ANSMET_METRICS_H
+#define ANSMET_METRICS_H
 
-#include <cmath>
-#include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#ifndef ANSMET_OBS_DISABLED
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
-#include <thread>
-#endif
+#include <cmath>
+#include <cstdint>
+#include <deque>
+#include <map>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace ansmet::obs {
 
-/** Merged histogram state: log2 buckets plus a value sum. */
+/** Histogram state: log2 buckets plus a value sum. */
 struct HistogramData
 {
     /** bucket 0 = value 0; bucket i>=1 = values in [2^(i-1), 2^i),
@@ -84,53 +86,94 @@ struct HistogramData
     }
 };
 
-/** Point-in-time merged view of every registered metric. */
+/** Point-in-time merged view of every metric. */
 struct Snapshot
 {
     std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, std::int64_t> gauges;
     std::map<std::string, HistogramData> histograms;
 
     /** Stable, machine-readable JSON rendering. */
     std::string toJson() const;
 };
 
-#ifndef ANSMET_OBS_DISABLED
+/** Counter entry of a RunRecord: one writer, a plain add. */
+class RunCounter
+{
+  public:
+    void add(std::uint64_t n) { value_ += n; }
+    void inc() { ++value_; }
+    std::uint64_t value() const { return value_; }
+
+  private:
+    std::uint64_t value_ = 0;
+};
+
+/** Log2 histogram entry of a RunRecord: one writer, plain adds. */
+class RunHistogram
+{
+  public:
+    explicit RunHistogram(unsigned buckets);
+
+    void
+    sample(std::uint64_t v)
+    {
+        const std::size_t last = data_.buckets.size() - 1;
+        ++data_.buckets[std::min<std::size_t>(std::bit_width(v), last)];
+        ++data_.count;
+        data_.sum += v;
+    }
+
+    const HistogramData &data() const { return data_; }
+
+  private:
+    HistogramData data_;
+};
+
+/**
+ * Everything one simulated run measures on its event thread, plus the
+ * trace pid its spans are stamped with. Entries are created on first
+ * lookup by name and never move, so components bind references once
+ * (at construction) and record through them afterwards. Not
+ * thread-safe: written and published by the run's event thread only.
+ */
+class RunRecord
+{
+  public:
+    RunRecord() = default;
+    RunRecord(const RunRecord &) = delete;
+    RunRecord &operator=(const RunRecord &) = delete;
+
+    /** The counter named @p name, created at zero on first use. */
+    RunCounter &counter(std::string_view name);
+
+    /** The histogram named @p name with @p buckets log2 buckets,
+     *  created empty on first use; a different bucket count for an
+     *  existing name panics. */
+    RunHistogram &histogram(std::string_view name, unsigned buckets);
+
+    /** Trace pid of this run (TraceWriter::beginRun), 0 before. */
+    std::uint32_t tracePid() const { return trace_pid_; }
+    void setTracePid(std::uint32_t pid) { trace_pid_ = pid; }
+
+  private:
+    friend class Registry;
+    std::deque<std::pair<std::string, RunCounter>> counters_;
+    std::deque<std::pair<std::string, RunHistogram>> histograms_;
+    std::uint32_t trace_pid_ = 0;
+};
 
 namespace detail {
 
-/** Slots per thread shard; registration past this capacity panics. */
+/** Counter slots per thread shard; registration past it panics. */
 constexpr std::uint32_t kShardSlots = 4096;
 
 struct Shard
 {
     // relaxed everywhere: each slot is written by exactly one thread
-    // (the shard owner) and merged by snapshot() under the registry
-    // mutex. Single-slot metrics (counters) are exact in any snapshot
-    // on their own; multi-slot updates (a histogram sample touches a
-    // bucket slot and the sum slot) run under `busy`, which snapshot()
-    // also holds while it copies the shard, so it never sees a bucket
-    // without its sum.
+    // (the shard owner) and only summed by snapshot() under the
+    // registry mutex. A counter is one slot, so every read of it is
+    // whole on its own.
     std::array<std::atomic<std::uint64_t>, kShardSlots> slots{};
-
-    // Per-shard spin lock. Counters skip it (their one fetch_add is
-    // atomic on its own), so the common hot path stays a single RMW;
-    // a histogram sample pays one uncontended exchange and one store.
-    // The only contender is snapshot(), which holds it for one copy
-    // of the shard, so neither side can starve the other.
-    std::atomic<bool> busy{false};
-
-    void
-    lock()
-    {
-        // acquire: the slot accesses that follow cannot move above.
-        while (busy.exchange(true, std::memory_order_acquire))
-            while (busy.load(std::memory_order_relaxed))
-                std::this_thread::yield();
-    }
-
-    // release: the slot accesses before cannot move below.
-    void unlock() { busy.store(false, std::memory_order_release); }
 };
 
 /** Allocate this thread's shard and register it (metrics.cc). */
@@ -145,7 +188,7 @@ shard()
 
 } // namespace detail
 
-/** Monotonic event counter (per-thread sharded). */
+/** Monotonic event counter for worker threads (per-thread sharded). */
 class Counter
 {
   public:
@@ -165,73 +208,6 @@ class Counter
     std::uint32_t slot_ = 0;
 };
 
-/**
- * Last-value metric (queue depths, configuration echoes). Stored as a
- * single registry-owned atomic: set/add are rare relative to counter
- * traffic and need cross-thread last-writer semantics, not merging.
- * relaxed: a gauge value orders nothing else; last-writer-wins with
- * atomicity is the whole contract.
- */
-class Gauge
-{
-  public:
-    Gauge() = default;
-
-    void
-    set(std::int64_t v)
-    {
-        if (cell_)
-            cell_->store(v, std::memory_order_relaxed);
-    }
-
-    void
-    add(std::int64_t d)
-    {
-        if (cell_)
-            cell_->fetch_add(d, std::memory_order_relaxed);
-    }
-
-  private:
-    friend class Registry;
-    explicit Gauge(std::atomic<std::int64_t> *cell) : cell_(cell) {}
-    std::atomic<std::int64_t> *cell_ = nullptr;
-};
-
-/** Fixed-bucket log2 histogram (per-thread sharded). */
-class Histogram
-{
-  public:
-    Histogram() = default;
-
-    void
-    sample(std::uint64_t v)
-    {
-        detail::Shard &s = detail::shard();
-        s.lock();
-        s.slots[first_ + bucketOf(v)].fetch_add(
-            1, std::memory_order_relaxed);
-        s.slots[first_ + buckets_].fetch_add(v,
-                                             std::memory_order_relaxed);
-        s.unlock();
-    }
-
-  private:
-    friend class Registry;
-    Histogram(std::uint32_t first, std::uint32_t buckets)
-        : first_(first), buckets_(buckets)
-    {
-    }
-
-    std::uint32_t
-    bucketOf(std::uint64_t v) const
-    {
-        return std::min<std::uint32_t>(std::bit_width(v), buckets_ - 1);
-    }
-
-    std::uint32_t first_ = 0;   //!< bucket slots, then one sum slot
-    std::uint32_t buckets_ = 1;
-};
-
 /** Process-wide metric registry. */
 class Registry
 {
@@ -239,26 +215,24 @@ class Registry
     /** The singleton (leaky; safe from atexit handlers). */
     static Registry &instance();
 
-    /**
-     * Register (or fetch) a metric by name. Idempotent: the same name
-     * always returns a handle to the same storage; re-registering a
-     * name as a different metric kind panics.
-     */
+    /** Register (or fetch) a worker-thread counter by name.
+     *  Idempotent: the same name always shares one storage. */
     Counter counter(std::string_view name);
-    Gauge gauge(std::string_view name);
-    Histogram histogram(std::string_view name, unsigned buckets = 40);
 
-    /** Merge all shards into one consistent-enough view. Concurrent
-     *  recording is allowed; each slot is read atomically. */
+    /** Add every entry of @p run to the published totals, at once. */
+    void publish(const RunRecord &run);
+
+    /** Sharded counters plus published totals; a counter name used
+     *  by both reports their sum. */
     Snapshot snapshot() const;
 
     /** snapshot().toJson() convenience. */
     std::string snapshotJson() const;
 
     /**
-     * Zero every slot and gauge (tests and run-scoped collection).
-     * Racy against concurrent writers by design — callers quiesce
-     * recording threads first.
+     * Zero every counter and published total (tests and run-scoped
+     * collection). Racy against concurrent Counter writers by design —
+     * callers quiesce recording threads first.
      */
     void reset();
 
@@ -271,48 +245,6 @@ class Registry
     Impl &impl() const;
 };
 
-#else // ANSMET_OBS_DISABLED ------------------------------------------
-
-class Counter
-{
-  public:
-    void add(std::uint64_t) {}
-    void inc() {}
-};
-
-class Gauge
-{
-  public:
-    void set(std::int64_t) {}
-    void add(std::int64_t) {}
-};
-
-class Histogram
-{
-  public:
-    void sample(std::uint64_t) {}
-};
-
-class Registry
-{
-  public:
-    static Registry &
-    instance()
-    {
-        static Registry r;
-        return r;
-    }
-
-    Counter counter(std::string_view) { return {}; }
-    Gauge gauge(std::string_view) { return {}; }
-    Histogram histogram(std::string_view, unsigned = 40) { return {}; }
-    Snapshot snapshot() const { return {}; }
-    std::string snapshotJson() const { return "{}"; }
-    void reset() {}
-};
-
-#endif // ANSMET_OBS_DISABLED
-
 } // namespace ansmet::obs
 
-#endif // ANSMET_OBS_METRICS_H
+#endif // ANSMET_METRICS_H

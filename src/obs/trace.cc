@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#ifndef ANSMET_OBS_DISABLED
-
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +17,7 @@ constexpr std::uint64_t kDefaultEventLimit = 2'000'000;
 
 struct Event
 {
-    enum class Type : std::uint8_t { kSpan, kCounter, kInstant, kMeta };
+    enum class Type : std::uint8_t { kSpan, kCounter, kMeta };
     Type type;
     std::string name;
     std::uint32_t pid;
@@ -87,19 +85,7 @@ struct TraceWriter::Impl
     // Overflow tally. relaxed: monotonic counter read only for
     // reporting; no other data is ordered by it.
     std::atomic<std::uint64_t> dropped{0};
-    // The run scope events are stamped with. Atomic rather than
-    // mu-guarded: event builders read it before taking mu (the
-    // annotation retrofit caught this as an unlocked read). relaxed:
-    // beginRun happens-before the events of its run via the caller's
-    // sequencing; cross-thread stamping tolerates last-writer-wins.
-    std::atomic<std::uint32_t> currentPid{0};
     std::uint32_t nextPid ANSMET_GUARDED_BY(mu) = 1;
-
-    std::uint32_t
-    pid() const
-    {
-        return currentPid.load(std::memory_order_relaxed);
-    }
 
     bool
     push(Event e) ANSMET_EXCLUDES(mu)
@@ -161,7 +147,6 @@ TraceWriter::beginRun(std::string_view name)
     {
         MutexLock lock(i.mu);
         pid = i.nextPid++;
-        i.currentPid.store(pid, std::memory_order_relaxed);
     }
     Event e;
     e.type = Event::Type::kMeta;
@@ -178,8 +163,9 @@ TraceWriter::beginRun(std::string_view name)
 }
 
 void
-TraceWriter::span(std::string_view name, std::uint32_t tid, Tick start,
-                  Tick end, const TraceArg *args, std::size_t numArgs)
+TraceWriter::span(const RunRecord &run, std::string_view name,
+                  std::uint32_t tid, Tick start, Tick end,
+                  const TraceArg *args, std::size_t numArgs)
 {
     if (!enabled_)
         return;
@@ -189,7 +175,7 @@ TraceWriter::span(std::string_view name, std::uint32_t tid, Tick start,
     Event e;
     e.type = Event::Type::kSpan;
     e.name = std::string(name);
-    e.pid = i.pid();
+    e.pid = run.tracePid();
     e.tid = tid;
     e.start = start;
     e.end = end;
@@ -199,8 +185,8 @@ TraceWriter::span(std::string_view name, std::uint32_t tid, Tick start,
 }
 
 void
-TraceWriter::counter(std::string_view name, std::uint32_t tid, Tick when,
-                     std::int64_t value)
+TraceWriter::counter(const RunRecord &run, std::string_view name,
+                     std::uint32_t tid, Tick when, std::int64_t value)
 {
     if (!enabled_)
         return;
@@ -208,41 +194,10 @@ TraceWriter::counter(std::string_view name, std::uint32_t tid, Tick when,
     Event e;
     e.type = Event::Type::kCounter;
     e.name = std::string(name);
-    e.pid = i.pid();
+    e.pid = run.tracePid();
     e.tid = tid;
     e.start = when;
     e.value = value;
-    i.push(std::move(e));
-}
-
-void
-TraceWriter::instant(std::string_view name, std::uint32_t tid, Tick when)
-{
-    if (!enabled_)
-        return;
-    Impl &i = impl();
-    Event e;
-    e.type = Event::Type::kInstant;
-    e.name = std::string(name);
-    e.pid = i.pid();
-    e.tid = tid;
-    e.start = when;
-    i.push(std::move(e));
-}
-
-void
-TraceWriter::nameThread(std::uint32_t tid, std::string_view name)
-{
-    if (!enabled_)
-        return;
-    Impl &i = impl();
-    Event e;
-    e.type = Event::Type::kMeta;
-    e.name = "thread_name";
-    e.pid = i.pid();
-    e.tid = tid;
-    e.start = Tick{};
-    e.args.emplace_back(std::string(name), 0);
     i.push(std::move(e));
 }
 
@@ -299,10 +254,6 @@ TraceWriter::flush()
             out += std::to_string(e.value);
             out += "}";
             break;
-        case Event::Type::kInstant:
-            out += ",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
-            appendDouble(out, us(e.start));
-            break;
         case Event::Type::kMeta:
             out += ",\"ph\":\"M\",\"ts\":0,\"args\":{\"name\":";
             appendJsonString(out, e.args.empty() ? std::string_view{}
@@ -330,5 +281,3 @@ TraceWriter::flush()
 }
 
 } // namespace ansmet::obs
-
-#endif // ANSMET_OBS_DISABLED

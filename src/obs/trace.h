@@ -6,12 +6,14 @@
  * Spans are recorded against simulated time (Tick = picoseconds) and
  * mapped onto trace rows as:
  *
- *   pid  — one simulated run (SystemModel::run for one design); set
- *          with TraceWriter::beginRun("NDP-ETOpt/sift") so the many
- *          runs of a figure binary don't overlap on one timeline;
+ *   pid  — one simulated run (SystemModel session for one design):
+ *          TraceWriter::beginRun("NDP-ETOpt") hands out a fresh pid,
+ *          which the run keeps in its obs::RunRecord; span() and
+ *          counter() take the record, so runs replayed one after
+ *          another (or side by side) never share a timeline;
  *   tid  — a lane inside the run: query index for query-stage spans,
- *          a derived (unit, qshr) id for NDP task spans, a controller
- *          id for DRAM counter tracks.
+ *          ndpLaneTid(unit, qshr) for NDP task spans, dramLaneTid for
+ *          DRAM counter tracks.
  *
  * Recording is active only when the process was started with
  * ANSMET_TRACE=<path>; otherwise every call is a cheap early-out.
@@ -20,12 +22,11 @@
  * at process exit or on TraceWriter::flush(). The flushed JSON also
  * embeds the full metrics Snapshot under "metrics".
  *
- * Like the metrics registry, the layer compiles to no-ops under
- * -DANSMET_OBS=OFF and never feeds back into simulated behaviour.
+ * Tracing never feeds back into simulated behaviour.
  */
 
-#ifndef ANSMET_OBS_TRACE_H
-#define ANSMET_OBS_TRACE_H
+#ifndef ANSMET_TRACE_H
+#define ANSMET_TRACE_H
 
 #include <cstdint>
 #include <string>
@@ -35,14 +36,14 @@
 
 namespace ansmet::obs {
 
+class RunRecord;
+
 /** One "k":"v" argument attached to a trace event. */
 struct TraceArg
 {
     std::string_view key;
     std::int64_t value = 0;
 };
-
-#ifndef ANSMET_OBS_DISABLED
 
 class TraceWriter
 {
@@ -55,27 +56,21 @@ class TraceWriter
     bool enabled() const { return enabled_; }
 
     /**
-     * Start a new run scope: subsequent events carry a fresh pid
-     * labelled @p name via process_name metadata. Returns the pid so
-     * nested helpers can stamp events explicitly if needed.
+     * Allocate a fresh pid for a new run, labelled @p name via
+     * process_name metadata. The run stores it in its RunRecord
+     * (setTracePid); 0 when tracing is off.
      */
     std::uint32_t beginRun(std::string_view name);
 
-    /** Complete ("X") span on (current pid, @p tid) covering
+    /** Complete ("X") span on (@p run's pid, @p tid) covering
      *  [start, end] in simulated time. */
-    void span(std::string_view name, std::uint32_t tid, Tick start,
-              Tick end, const TraceArg *args = nullptr,
-              std::size_t numArgs = 0);
+    void span(const RunRecord &run, std::string_view name,
+              std::uint32_t tid, Tick start, Tick end,
+              const TraceArg *args = nullptr, std::size_t numArgs = 0);
 
-    /** Counter ("C") track sample at @p when. */
-    void counter(std::string_view name, std::uint32_t tid, Tick when,
-                 std::int64_t value);
-
-    /** Instant ("i") event at @p when. */
-    void instant(std::string_view name, std::uint32_t tid, Tick when);
-
-    /** Name the @p tid row inside the current run. */
-    void nameThread(std::uint32_t tid, std::string_view name);
+    /** Counter ("C") track sample on @p run's timeline at @p when. */
+    void counter(const RunRecord &run, std::string_view name,
+                 std::uint32_t tid, Tick when, std::int64_t value);
 
     /** Write the trace file now (also runs automatically at exit).
      *  Idempotent per accumulated state; later events re-flush. */
@@ -107,45 +102,6 @@ dramLaneTid(unsigned controller)
     return 20000 + controller;
 }
 
-#else // ANSMET_OBS_DISABLED ------------------------------------------
-
-class TraceWriter
-{
-  public:
-    static TraceWriter &
-    instance()
-    {
-        static TraceWriter t;
-        return t;
-    }
-
-    bool enabled() const { return false; }
-    std::uint32_t beginRun(std::string_view) { return 0; }
-    void span(std::string_view, std::uint32_t, Tick, Tick,
-              const TraceArg * = nullptr, std::size_t = 0)
-    {
-    }
-    void counter(std::string_view, std::uint32_t, Tick, std::int64_t) {}
-    void instant(std::string_view, std::uint32_t, Tick) {}
-    void nameThread(std::uint32_t, std::string_view) {}
-    void flush() {}
-    std::uint64_t dropped() const { return 0; }
-};
-
-inline std::uint32_t
-ndpLaneTid(unsigned unit, unsigned qshr)
-{
-    return 10000 + unit * 64 + qshr;
-}
-
-inline std::uint32_t
-dramLaneTid(unsigned controller)
-{
-    return 20000 + controller;
-}
-
-#endif // ANSMET_OBS_DISABLED
-
 } // namespace ansmet::obs
 
-#endif // ANSMET_OBS_TRACE_H
+#endif // ANSMET_TRACE_H

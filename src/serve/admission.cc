@@ -27,12 +27,6 @@ AdmissionScheduler::AdmissionScheduler(const AdmissionConfig &cfg)
     free_slots_ = max_in_flight_ == 64
                       ? ~std::uint64_t{0}
                       : (std::uint64_t{1} << max_in_flight_) - 1;
-
-    obs::Registry &reg = obs::Registry::instance();
-    m_admitted_ = reg.counter("serve.admitted");
-    m_dropped_ = reg.counter("serve.dropped");
-    m_queue_depth_ = reg.gauge("serve.queue_depth");
-    m_occupied_qshrs_ = reg.gauge("serve.occupied_qshrs");
 }
 
 bool
@@ -46,7 +40,6 @@ AdmissionScheduler::tryOffer(std::uint64_t queryId, std::size_t traceIdx,
     if (queue_.size() >= cfg_.queueCapacity) {
         live_ids_.erase(queryId);
         ++dropped_;
-        m_dropped_.inc();
         return false;
     }
     Admitted a;
@@ -54,7 +47,6 @@ AdmissionScheduler::tryOffer(std::uint64_t queryId, std::size_t traceIdx,
     a.traceIdx = traceIdx;
     a.enqueuedAt = now;
     queue_.push_back(a);
-    m_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
     return true;
 }
 
@@ -73,9 +65,6 @@ AdmissionScheduler::admitNext(Tick)
                  "admission: occupied QSHRs ", occupiedQshrs(),
                  " exceed the ", cfg_.numQshrs, " available");
     max_occupied_qshrs_ = std::max(max_occupied_qshrs_, occupiedQshrs());
-    m_admitted_.inc();
-    m_queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
-    m_occupied_qshrs_.set(occupiedQshrs());
     return a;
 }
 
@@ -91,7 +80,6 @@ AdmissionScheduler::release(unsigned slot, std::uint64_t queryId)
     free_slots_ |= bit;
     ANSMET_CHECK(in_flight_ > 0);
     --in_flight_;
-    m_occupied_qshrs_.set(occupiedQshrs());
 }
 
 } // namespace ansmet::serve

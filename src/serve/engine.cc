@@ -1,9 +1,11 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ansmet::serve {
@@ -39,6 +41,7 @@ class Driver
     run()
     {
         sys_.eventQueue().run();
+        writeMetrics(sys_.eventQueue().record());
         report_.run = sys_.endSession();
         report_.offered = adm_.offered();
         report_.admitted = adm_.admitted();
@@ -48,6 +51,23 @@ class Driver
     }
 
   private:
+    /** Write the serve.* metrics into the run's record, from the
+     *  scheduler's counts and the recorder's raw samples; endSession()
+     *  publishes them with the rest of the run. */
+    void
+    writeMetrics(obs::RunRecord &rec) const
+    {
+        rec.counter("serve.admitted").add(adm_.admitted());
+        rec.counter("serve.dropped").add(adm_.dropped());
+        for (unsigned p = 0; p < kNumPhases; ++p) {
+            const auto phase = static_cast<Phase>(p);
+            obs::RunHistogram &h = rec.histogram(
+                std::string("serve.") + phaseName(phase) + "_ps", 48);
+            for (const std::uint64_t ps : report_.latency.samples(phase))
+                h.sample(ps);
+        }
+    }
+
     void
     onArrival(const Arrival &a)
     {
@@ -72,8 +92,8 @@ class Driver
         const Tick now = sys_.eventQueue().now();
         const TickDelta wait = now - a.enqueuedAt;
         obs::TraceWriter::instance().span(
-            "queue_wait", static_cast<std::uint32_t>(a.queryId),
-            a.enqueuedAt, now);
+            sys_.eventQueue().record(), "queue_wait",
+            static_cast<std::uint32_t>(a.queryId), a.enqueuedAt, now);
         sys_.submit(a.slot, a.traceIdx,
                     [this, a, wait](const core::QueryStats &qs) {
                         onDone(a, wait, qs);

@@ -3,16 +3,13 @@
  * Per-phase latency recorder for the serving engine.
  *
  * Every completed query contributes one sample per phase (queue wait,
- * traverse, offload, compute, collect, end-to-end total), recorded
- * twice on purpose:
- *
- *  - raw samples kept in-recorder for *exact* nearest-rank quantiles —
- *    the p50/p99/p999 the bench reports and CI gates on must not carry
- *    bucketing error;
- *  - a log2 histogram per phase in the obs metrics registry
- *    ("serve.<phase>_ps"), so serving latency shows up in metric
- *    snapshots and trace-file dumps like every other subsystem, at the
- *    documented 2x bucket-bound accuracy.
+ * traverse, offload, compute, collect, end-to-end total). The raw
+ * samples are kept for *exact* nearest-rank quantiles — the
+ * p50/p99/p999 the bench reports and CI gates on must not carry
+ * bucketing error. serve() folds them into the run's obs::RunRecord
+ * as log2 histograms ("serve.<phase>_ps") once, at the end of the run,
+ * so serving latency also shows up in metric snapshots and trace-file
+ * dumps at the documented 2x bucket-bound accuracy.
  *
  * The recorder is driven only from simulation callbacks (one thread);
  * it is not thread-safe and does not need to be.
@@ -26,7 +23,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "obs/metrics.h"
 
 namespace ansmet::serve {
 
@@ -59,8 +55,6 @@ struct PhaseSummary
 class LatencyRecorder
 {
   public:
-    LatencyRecorder();
-
     /** Record one @p ps sample for @p phase. */
     void record(Phase phase, std::uint64_t ps);
 
@@ -81,7 +75,6 @@ class LatencyRecorder
 
   private:
     std::array<std::vector<std::uint64_t>, kNumPhases> samples_;
-    std::array<obs::Histogram, kNumPhases> hists_;
 };
 
 } // namespace ansmet::serve

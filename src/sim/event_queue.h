@@ -28,6 +28,9 @@
  * Callbacks are InlineFunction (see inline_callback.h): captures
  * beyond kInlineCallbackBytes fail to compile, so the hot loop never
  * touches the allocator. See DESIGN.md, "Event-queue architecture".
+ *
+ * The queue also owns its run's obs::RunRecord: every component that
+ * schedules on it records its metrics there (see obs/metrics.h).
  */
 
 #ifndef ANSMET_SIM_EVENT_QUEUE_H
@@ -74,6 +77,9 @@ class EventQueue
 
     /** Number of events still pending (descheduled ones excluded). */
     std::size_t pending() const { return live_; }
+
+    /** Metrics of the run this queue drives; written on its thread. */
+    obs::RunRecord &record() { return record_; }
 
     /**
      * Schedule @p cb at absolute time @p when (>= now), fire-and-
@@ -179,15 +185,8 @@ class EventQueue
             --live_;
             cb();
             ++processed;
-            if ((processed & ((1u << 16) - 1)) == 0)
-                depthGauge().set(static_cast<std::int64_t>(live_));
         }
-        if (processed != 0) {
-            static obs::Counter events =
-                obs::Registry::instance().counter("sim.events");
-            events.add(processed);
-            depthGauge().set(static_cast<std::int64_t>(live_));
-        }
+        events_.add(processed);
     }
 
     /** Execute exactly one event; returns false if none pending. */
@@ -403,14 +402,6 @@ class EventQueue
         free_.push_back(slot);
     }
 
-    static obs::Gauge &
-    depthGauge()
-    {
-        static obs::Gauge g =
-            obs::Registry::instance().gauge("sim.queue_depth");
-        return g;
-    }
-
     std::vector<EventRec> slots_;
     std::vector<std::uint32_t> free_;
     std::vector<Key> cur_heap_;  //!< events due on/before cur_day_
@@ -422,6 +413,8 @@ class EventQueue
     std::uint64_t seq_ = 0;
     std::size_t live_ = 0;
     Tick now_{};
+    obs::RunRecord record_;
+    obs::RunCounter &events_ = record_.counter("sim.events");
 };
 
 /**

@@ -1,11 +1,8 @@
 /**
  * @file
- * Observability-layer tests: registry semantics (counters, gauges,
- * histograms, shard merging across threads), snapshot JSON shape, and
- * the Chrome-trace writer's off-by-default behaviour.
- *
- * The whole suite is a no-op (beyond stub-API coverage) when the
- * library was built with -DANSMET_OBS=OFF.
+ * Observability-layer tests: registry semantics (sharded counters,
+ * published run records, merging across threads), snapshot JSON shape,
+ * and the Chrome-trace writer's off-by-default behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +18,6 @@
 
 namespace ansmet::obs {
 namespace {
-
-#ifndef ANSMET_OBS_DISABLED
 
 class RegistryTest : public ::testing::Test
 {
@@ -51,18 +46,10 @@ TEST_F(RegistryTest, RegistrationIsIdempotent)
     EXPECT_EQ(snap.counters.at("test.same_name"), 3u);
 }
 
-TEST_F(RegistryTest, GaugeKeepsLastValue)
-{
-    Gauge g = Registry::instance().gauge("test.gauge");
-    g.set(7);
-    g.add(-3);
-    const Snapshot snap = Registry::instance().snapshot();
-    EXPECT_EQ(snap.gauges.at("test.gauge"), 4);
-}
-
 TEST_F(RegistryTest, HistogramBucketsByLog2)
 {
-    Histogram h = Registry::instance().histogram("test.hist", 8);
+    RunRecord run;
+    RunHistogram &h = run.histogram("test.hist", 8);
     h.sample(0); // bucket 0
     h.sample(1); // bucket 1: [1, 2)
     h.sample(3); // bucket 2: [2, 4)
@@ -74,6 +61,7 @@ TEST_F(RegistryTest, HistogramBucketsByLog2)
     h.sample(8);   // bucket 4: [8, 16)
     h.sample(127); // bucket 7: [64, 128), the last bucket
     h.sample(128); // bucket 8 clamps into the last bucket
+    Registry::instance().publish(run);
     const Snapshot snap = Registry::instance().snapshot();
     const HistogramData &d = snap.histograms.at("test.hist");
     const std::uint64_t sum = 0u + 1 + 3 + 1000000 + 2 + 4 + 7 + 8 + 127 + 128;
@@ -95,7 +83,8 @@ TEST_F(RegistryTest, HistogramQuantileExactOnBucketBoundaries)
 {
     // Values whose bucket upper bound equals the value itself make the
     // log2 quantile exact: 0 (zero bucket) and 2^i - 1.
-    Histogram h = Registry::instance().histogram("test.quant_exact", 12);
+    RunRecord run;
+    RunHistogram &h = run.histogram("test.quant_exact", 12);
     for (int i = 0; i < 50; ++i)
         h.sample(0);
     for (int i = 0; i < 30; ++i)
@@ -104,6 +93,7 @@ TEST_F(RegistryTest, HistogramQuantileExactOnBucketBoundaries)
         h.sample(3); // bucket 2, upper bound 3
     for (int i = 0; i < 5; ++i)
         h.sample(7); // bucket 3, upper bound 7
+    Registry::instance().publish(run);
     const Snapshot snap = Registry::instance().snapshot();
     const HistogramData &d = snap.histograms.at("test.quant_exact");
     EXPECT_EQ(d.quantile(0.50), 0u);   // rank 50 of 100
@@ -121,7 +111,8 @@ TEST_F(RegistryTest, HistogramQuantileWithinLog2ErrorBound)
     // a quantile whose true sample is v satisfies e/2 < v <= e — the
     // documented log2 bound. Check against the exact nearest-rank
     // quantile of a fixed sample set.
-    Histogram h = Registry::instance().histogram("test.quant_bound", 32);
+    RunRecord run;
+    RunHistogram &h = run.histogram("test.quant_bound", 32);
     std::vector<std::uint64_t> vals;
     std::uint64_t x = 12345;
     for (int i = 0; i < 1000; ++i) {
@@ -131,6 +122,7 @@ TEST_F(RegistryTest, HistogramQuantileWithinLog2ErrorBound)
     }
     for (std::uint64_t v : vals)
         h.sample(v);
+    Registry::instance().publish(run);
     std::vector<std::uint64_t> sorted = vals;
     std::sort(sorted.begin(), sorted.end());
     const Snapshot snap = Registry::instance().snapshot();
@@ -148,18 +140,20 @@ TEST_F(RegistryTest, HistogramQuantileWithinLog2ErrorBound)
 TEST_F(RegistryTest, HistogramQuantileMergesAcrossShards)
 {
     // Each thread contributes a disjoint slice of the distribution
-    // from its own shard; quantiles over the merged snapshot must see
-    // the union.
-    Histogram h = Registry::instance().histogram("test.quant_mt", 24);
+    // through its own published record; quantiles over the merged
+    // snapshot must see the union.
     constexpr int kThreads = 4;
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&h, t] {
+        threads.emplace_back([t] {
             // Thread t samples 250 values around 2^(4 + 2t).
+            RunRecord run;
+            RunHistogram &h = run.histogram("test.quant_mt", 24);
             const std::uint64_t v = std::uint64_t{1} << (4 + 2 * t);
             for (int i = 0; i < 250; ++i)
                 h.sample(v);
+            Registry::instance().publish(run);
         });
     }
     for (auto &t : threads)
@@ -177,23 +171,30 @@ TEST_F(RegistryTest, HistogramQuantileMergesAcrossShards)
 TEST_F(RegistryTest, SnapshotDoesNotTearHistogramMidRun)
 {
     // Regression for the bucket/sum tear: a snapshot taken while a
-    // histogram sample is mid-flight (bucket slot bumped, sum slot not
-    // yet) used to report sum != value * count. The per-shard lock,
-    // held by the sampler and by snapshot() while it copies the shard,
-    // makes every snapshot internally consistent.
+    // histogram sample was mid-flight (bucket bumped, sum not yet)
+    // used to report sum != value * count. Samples now land in a
+    // plain per-run record that is published whole, under the
+    // registry mutex snapshot() also holds, so every snapshot sees
+    // whole runs only.
     //
-    // The writer samples in short bursts with a pause between them;
-    // the burst itself is what used to tear. Run under tsan in CI for
-    // ordering coverage.
-    Histogram h = Registry::instance().histogram("test.tear", 16);
+    // The writer runs short bursts, each one published run, with a
+    // pause between them. Run under tsan in CI for ordering coverage.
     constexpr std::uint64_t kValue = 5;
     constexpr int kBursts = 400;
     constexpr int kPerBurst = 16;
+    {
+        RunRecord named; // the name exists before the first burst
+        named.histogram("test.tear", 16);
+        Registry::instance().publish(named);
+    }
     std::atomic<bool> done{false};
     std::thread writer([&] {
         for (int b = 0; b < kBursts; ++b) {
+            RunRecord run;
+            RunHistogram &h = run.histogram("test.tear", 16);
             for (int i = 0; i < kPerBurst; ++i)
                 h.sample(kValue);
+            Registry::instance().publish(run);
             std::this_thread::yield();
         }
         done.store(true, std::memory_order_release);
@@ -217,17 +218,19 @@ TEST_F(RegistryTest, SnapshotDoesNotTearHistogramMidRun)
 TEST_F(RegistryTest, ShardsMergeAcrossThreads)
 {
     Counter c = Registry::instance().counter("test.mt_counter");
-    Histogram h = Registry::instance().histogram("test.mt_hist", 8);
     constexpr int kThreads = 8;
     constexpr int kIters = 10000;
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&] {
+            RunRecord run;
+            RunHistogram &h = run.histogram("test.mt_hist", 8);
             for (int i = 0; i < kIters; ++i) {
                 c.inc();
                 h.sample(2);
             }
+            Registry::instance().publish(run);
         });
     }
     for (auto &t : threads)
@@ -242,16 +245,19 @@ TEST_F(RegistryTest, ShardsMergeAcrossThreads)
 TEST_F(RegistryTest, SnapshotJsonIsParsableShape)
 {
     Registry::instance().counter("test.json_counter").add(5);
-    Registry::instance().gauge("test.json_gauge").set(-2);
-    Registry::instance().histogram("test.json_hist", 4).sample(1);
+    RunRecord run;
+    run.histogram("test.json_hist", 4).sample(1);
+    Registry::instance().publish(run);
     const std::string json = Registry::instance().snapshotJson();
     // Not a full JSON parser — assert the structural anchors a real
     // consumer (tools/, CI artifact readers) relies on.
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
-    EXPECT_NE(json.find("\"gauges\""), std::string::npos);
+    EXPECT_EQ(json.find("\"gauges\""), std::string::npos);
     EXPECT_NE(json.find("\"histograms\""), std::string::npos);
     EXPECT_NE(json.find("\"test.json_counter\": 5"), std::string::npos);
-    EXPECT_NE(json.find("\"test.json_gauge\": -2"), std::string::npos);
+    EXPECT_NE(json.find("\"test.json_hist\": {\"count\": 1, \"sum\": 1, "
+                        "\"buckets\": [0, 1]}"),
+              std::string::npos);
     EXPECT_EQ(json.find('\t'), std::string::npos);
 }
 
@@ -259,9 +265,43 @@ TEST_F(RegistryTest, ResetZeroesEverything)
 {
     Counter c = Registry::instance().counter("test.reset_counter");
     c.add(9);
+    RunRecord run;
+    run.counter("test.reset_run_counter").add(4);
+    run.histogram("test.reset_hist", 4).sample(3);
+    Registry::instance().publish(run);
     Registry::instance().reset();
     const Snapshot snap = Registry::instance().snapshot();
     EXPECT_EQ(snap.counters.at("test.reset_counter"), 0u);
+    EXPECT_EQ(snap.counters.at("test.reset_run_counter"), 0u);
+    EXPECT_EQ(snap.histograms.at("test.reset_hist").count, 0u);
+    EXPECT_EQ(snap.histograms.at("test.reset_hist").sum, 0u);
+}
+
+TEST_F(RegistryTest, RunRecordEntriesAreNamedOnceAndPublishedWhole)
+{
+    // Lookups by name hand back the same entry, so components that bind
+    // one name from several objects share it; nothing reaches the
+    // registry before publish(), and each publish adds the whole record.
+    RunRecord run;
+    RunCounter &a = run.counter("test.run_counter");
+    RunCounter &b = run.counter("test.run_counter");
+    EXPECT_EQ(&a, &b);
+    a.add(3);
+    b.inc();
+    RunHistogram &h = run.histogram("test.run_hist", 8);
+    EXPECT_EQ(&h, &run.histogram("test.run_hist", 8));
+    h.sample(6);
+    EXPECT_EQ(Registry::instance().snapshot().counters.count(
+                  "test.run_counter"),
+              0u);
+    Registry::instance().publish(run);
+    Registry::instance().publish(run);
+    const Snapshot snap = Registry::instance().snapshot();
+    EXPECT_EQ(snap.counters.at("test.run_counter"), 8u);
+    EXPECT_EQ(snap.histograms.at("test.run_hist").count, 2u);
+    EXPECT_EQ(snap.histograms.at("test.run_hist").sum, 12u);
+    EXPECT_EQ(snap.histograms.at("test.run_hist").buckets[3], 2u);
+    EXPECT_DEATH(run.histogram("test.run_hist", 4), "different shape");
 }
 
 TEST(TraceWriterTest, DisabledWithoutEnv)
@@ -270,31 +310,14 @@ TEST(TraceWriterTest, DisabledWithoutEnv)
     // off and every call a cheap no-op.
     auto &tw = TraceWriter::instance();
     EXPECT_FALSE(tw.enabled());
-    tw.beginRun("test-run");
-    tw.span("noop", 0, Tick{}, Tick{10});
-    tw.counter("noop", 0, Tick{}, 1);
-    tw.instant("noop", 0, Tick{});
+    RunRecord run;
+    run.setTracePid(tw.beginRun("test-run"));
+    EXPECT_EQ(run.tracePid(), 0u);
+    tw.span(run, "noop", 0, Tick{}, Tick{10});
+    tw.counter(run, "noop", 0, Tick{}, 1);
     tw.flush();
     EXPECT_EQ(tw.dropped(), 0u);
 }
-
-#else // ANSMET_OBS_DISABLED
-
-TEST(ObsDisabled, StubsAreInertButLinkable)
-{
-    Counter c = Registry::instance().counter("x");
-    c.add(100);
-    Gauge g = Registry::instance().gauge("y");
-    g.set(1);
-    Histogram h = Registry::instance().histogram("z");
-    h.sample(1);
-    const Snapshot snap = Registry::instance().snapshot();
-    EXPECT_TRUE(snap.counters.empty());
-    EXPECT_EQ(Registry::instance().snapshotJson(), "{}");
-    EXPECT_FALSE(TraceWriter::instance().enabled());
-}
-
-#endif // ANSMET_OBS_DISABLED
 
 } // namespace
 } // namespace ansmet::obs

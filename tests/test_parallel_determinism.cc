@@ -5,6 +5,10 @@
  * build) must produce results bit-identical to the single-threaded
  * reference path for a fixed seed.
  *
+ * Two SystemModel sessions may also run side by side on two threads:
+ * each records into its own event queue's obs::RunRecord and publishes
+ * it once, at endSession().
+ *
  * The serial reference is obtained by running the stage as a task of
  * a private one-lane runtime: runtime work is flagged thread-local, so
  * every nested Runtime::global() entry point degrades to a plain
@@ -16,8 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,6 +37,7 @@
 #include "core/system.h"
 #include "core/trace.h"
 #include "et/profile.h"
+#include "obs/metrics.h"
 
 namespace ansmet {
 namespace {
@@ -197,34 +207,106 @@ TEST(ParallelDeterminism, ProfileBuildMatchesSerial)
     }
 }
 
-TEST(ParallelDeterminism, LockedBuildSearchStillAccurate)
+/** Every dram.* counter and histogram of @p snap, flattened. */
+std::map<std::string, std::vector<std::uint64_t>>
+dramMetrics(const obs::Snapshot &snap)
 {
-    // The opt-in lock-based build is nondeterministic by construction,
-    // but must still produce a valid, searchable graph.
-    const auto &ds = dataset();
-    anns::HnswParams params{16, 80, 42};
-    params.build = anns::HnswParams::Build::kLocked;
-    const anns::HnswIndex idx(*ds.base, anns::Metric::kL2, params);
-
-    for (VectorId v = 0; v < ds.base->size(); ++v) {
-        for (unsigned l = 0; l <= idx.levelOf(v); ++l) {
-            EXPECT_LE(idx.neighbors(v, l).size(), params.maxDegree(l));
-            for (const VectorId nb : idx.neighbors(v, l)) {
-                EXPECT_LT(nb, ds.base->size());
-                EXPECT_NE(nb, v);
-                EXPECT_GE(idx.levelOf(nb), l);
-            }
+    std::map<std::string, std::vector<std::uint64_t>> out;
+    for (const auto &[name, v] : snap.counters)
+        if (name.rfind("dram.", 0) == 0)
+            out[name] = {v};
+    for (const auto &[name, h] : snap.histograms) {
+        if (name.rfind("dram.", 0) == 0) {
+            out[name] = h.buckets;
+            out[name].push_back(h.count);
+            out[name].push_back(h.sum);
         }
     }
+    return out;
+}
 
-    const auto gt =
-        anns::bruteForceAll(anns::Metric::kL2, ds.queries, *ds.base, 10);
-    double total = 0.0;
-    for (std::size_t q = 0; q < ds.queries.size(); ++q) {
-        total += anns::recallAtK(idx.search(ds.queries[q].data(), 10, 100),
-                                 gt[q], 10);
+/** Histogram @p name of @p b minus that of @p a, flattened. */
+std::vector<std::uint64_t>
+histogramDelta(const obs::Snapshot &a, const obs::Snapshot &b,
+               const std::string &name)
+{
+    obs::HistogramData h = b.histograms.at(name);
+    if (const auto it = a.histograms.find(name); it != a.histograms.end()) {
+        for (std::size_t i = 0; i < h.buckets.size(); ++i)
+            h.buckets[i] -= it->second.buckets[i];
+        h.count -= it->second.count;
+        h.sum -= it->second.sum;
     }
-    EXPECT_GE(total / static_cast<double>(ds.queries.size()), 0.8);
+    h.buckets.push_back(h.count);
+    h.buckets.push_back(h.sum);
+    return h.buckets;
+}
+
+TEST(ParallelDeterminism, ConcurrentSessionsPublishOwnRecords)
+{
+    const auto &ds = dataset();
+    const anns::HnswIndex idx(*ds.base, ds.metric(),
+                              anns::HnswParams{16, 80, 42});
+    et::ProfileConfig pc;
+    pc.numSamples = 60;
+    pc.maxPairs = 600;
+    const et::EtProfile profile = et::buildProfile(*ds.base, ds.metric(), pc);
+    std::vector<core::QueryTrace> traces;
+    for (const auto &q : ds.queries)
+        traces.push_back(core::traceHnswQuery(idx, q, 10, 48));
+    core::SystemConfig cfg;
+    cfg.design = core::Design::kNdpEtOpt;
+    cfg.concurrentQueries = 4;
+
+    obs::Registry &reg = obs::Registry::instance();
+    const obs::Snapshot s0 = reg.snapshot();
+    const TickDelta makespan =
+        core::SystemModel(cfg, *ds.base, ds.metric(), &profile)
+            .run(traces)
+            .makespan;
+    const obs::Snapshot s1 = reg.snapshot();
+    const std::uint64_t serialReads =
+        s1.counters.at("dram.reads") -
+        (s0.counters.count("dram.reads") ? s0.counters.at("dram.reads") : 0);
+    ASSERT_GT(serialReads, 0u);
+
+    // Halfway through each run, an event waits until the other run is
+    // halfway too, snapshots the registry, and waits again so neither
+    // run can end (and publish) before both have looked.
+    struct Probe
+    {
+        std::barrier<> sync{2};
+        std::map<std::string, std::vector<std::uint64_t>> before;
+        std::atomic<int> unchanged{0};
+    } probe;
+    probe.before = dramMetrics(s1);
+    auto session = [&] {
+        core::SystemModel model(cfg, *ds.base, ds.metric(), &profile);
+        Probe *p = &probe;
+        model.eventQueue().schedule(Tick{} + makespan / 2, [p] {
+            p->sync.arrive_and_wait();
+            if (dramMetrics(obs::Registry::instance().snapshot()) ==
+                p->before)
+                p->unchanged.fetch_add(1);
+            p->sync.arrive_and_wait();
+        });
+        (void)model.run(traces);
+    };
+    std::thread a(session);
+    std::thread b(session);
+    a.join();
+    b.join();
+    EXPECT_EQ(probe.unchanged.load(), 2)
+        << "a snapshot saw dram.* of a run that had not ended";
+
+    const obs::Snapshot s2 = reg.snapshot();
+    EXPECT_EQ(s2.counters.at("dram.reads") - s1.counters.at("dram.reads"),
+              2 * serialReads);
+    std::vector<std::uint64_t> twice =
+        histogramDelta(s0, s1, "ndp.task_latency_ps");
+    for (auto &v : twice)
+        v *= 2;
+    EXPECT_EQ(histogramDelta(s1, s2, "ndp.task_latency_ps"), twice);
 }
 
 } // namespace

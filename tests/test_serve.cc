@@ -21,6 +21,7 @@
 #include "core/system.h"
 #include "core/trace.h"
 #include "et/profile.h"
+#include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/engine.h"
 #include "serve/loadgen.h"
@@ -444,9 +445,36 @@ TEST(Serve, FifoQueueWaitBoundedUnderZipfSkew)
 TEST(Serve, OverloadDropsInsteadOfUnboundedQueueing)
 {
     // Far past saturation the bounded queue must shed load.
+    obs::Registry &reg = obs::Registry::instance();
+    const obs::Snapshot before = reg.snapshot();
     const auto r = runServe(5.0e7, true, 256);
+    const obs::Snapshot after = reg.snapshot();
     EXPECT_GT(r.dropped, 0u);
     EXPECT_EQ(r.completed + r.dropped, r.offered);
+
+    // The run's record publishes the scheduler's counts and a
+    // histogram of the recorder's own samples.
+    auto counter = [](const obs::Snapshot &s, const char *name) {
+        const auto it = s.counters.find(name);
+        return it == s.counters.end() ? std::uint64_t{0} : it->second;
+    };
+    EXPECT_EQ(counter(after, "serve.admitted") -
+                  counter(before, "serve.admitted"),
+              r.admitted);
+    EXPECT_EQ(counter(after, "serve.dropped") -
+                  counter(before, "serve.dropped"),
+              r.dropped);
+    obs::HistogramData total = after.histograms.at("serve.total_ps");
+    if (const auto it = before.histograms.find("serve.total_ps");
+        it != before.histograms.end()) {
+        total.count -= it->second.count;
+        total.sum -= it->second.sum;
+    }
+    std::uint64_t sum = 0;
+    for (const std::uint64_t v : r.latency.samples(serve::Phase::kTotal))
+        sum += v;
+    EXPECT_EQ(total.count, r.completed);
+    EXPECT_EQ(total.sum, sum);
 }
 
 } // namespace

@@ -659,6 +659,18 @@ class R9DetflowTest(LintRunMixin, unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("obs-recorded value", out)
 
+    def test_thread_id_into_obs_histogram_sample_flags(self):
+        p = self.write(
+            "src/ndp/unit.cc",
+            "void f(obs::RunHistogram &h) {\n"
+            "    auto id = std::this_thread::get_id();\n"
+            "    h.sample(id);\n"
+            "}\n")
+        code, out, _ = self.run_lint(p)
+        self.assertEqual(code, 1)
+        self.assertIn("obs-recorded value of .sample()", out)
+        self.assertIn("unit.cc:3:", out)
+
     def test_lookup_only_use_does_not_taint(self):
         # find()/count() lookups are value-keyed, not order-dependent;
         # with the declaration waived the taint pass stays silent.
