@@ -13,29 +13,20 @@
 
 namespace ansmet::anns {
 
-namespace {
-
-struct HnswMetrics
-{
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Counter hops = reg.counter("hnsw.hops");
-    obs::Counter distanceComps = reg.counter("hnsw.distance_comps");
-};
-
-HnswMetrics &
-hnswMetrics()
-{
-    static HnswMetrics m;
-    return m;
-}
-
-} // namespace
-
 SearchObserver &
 nullObserver()
 {
     static SearchObserver obs;
     return obs;
+}
+
+void
+HnswIndex::SearchCounts::publish() const
+{
+    obs::RunRecord rec;
+    rec.counter("hnsw.hops").add(hops);
+    rec.counter("hnsw.distance_comps").add(comps);
+    obs::Registry::instance().publish(rec);
 }
 
 // ---------------------------------------------------------------------
@@ -171,7 +162,7 @@ HnswIndex::graphBytes() const
 std::vector<Neighbor>
 HnswIndex::searchLayer(const float *q, Neighbor entry, std::size_t ef,
                        unsigned level, SearchObserver *obs,
-                       VisitScratch &vis) const
+                       VisitScratch &vis, SearchCounts &counts) const
 {
     if (++vis.epoch == 0) {
         // Epoch wrapped: old tags could collide with the new epoch.
@@ -185,17 +176,11 @@ HnswIndex::searchLayer(const float *q, Neighbor entry, std::size_t ef,
     ResultSet results(ef);
     results.offer(entry);
 
-    // Accumulated locally and flushed once per call: searchLayer is the
-    // inner loop of parallel index build, where per-hop shard traffic
-    // would still be visible.
-    std::uint64_t hops = 0;
-    std::uint64_t comps = 0;
-
     while (!candidates.empty()) {
         const Neighbor cur = candidates.pop();
         if (cur.dist > results.worst())
             break;
-        ++hops;
+        ++counts.hops;
 
         const std::vector<VectorId> &links = nodes_[cur.id].links[level];
         if (obs) {
@@ -225,7 +210,7 @@ HnswIndex::searchLayer(const float *q, Neighbor entry, std::size_t ef,
         vis.batchDist.resize(vis.batchIds.size());
         distanceBatch(metric_, q, vs_, vis.batchIds.data(),
                       vis.batchIds.size(), vis.batchDist.data());
-        comps += vis.batchIds.size();
+        counts.comps += vis.batchIds.size();
 
         for (std::size_t i = 0; i < vis.batchIds.size(); ++i) {
             const VectorId nb = vis.batchIds[i];
@@ -242,9 +227,6 @@ HnswIndex::searchLayer(const float *q, Neighbor entry, std::size_t ef,
             }
         }
     }
-    HnswMetrics &m = hnswMetrics();
-    m.hops.add(hops);
-    m.distanceComps.add(comps);
     return results.sorted();
 }
 
@@ -306,18 +288,19 @@ HnswIndex::planInsert(VectorId v, unsigned level, VisitScratch &vis) const
 {
     std::vector<float> q = vs_.toFloat(v);
     Neighbor ep{dist(q.data(), entry_), entry_};
+    InsertPlan plan;
 
     // Greedy descent through layers above the insertion level.
     for (unsigned l = max_level_; l > level && l > 0; --l)
-        ep = searchLayer(q.data(), ep, 1, l, nullptr, vis).front();
+        ep = searchLayer(q.data(), ep, 1, l, nullptr, vis, plan.counts)
+                 .front();
 
-    InsertPlan plan;
     const unsigned top = std::min(level, max_level_);
     plan.selected.resize(top + 1);
     for (int l = static_cast<int>(top); l >= 0; --l) {
         const auto lu = static_cast<unsigned>(l);
         auto found = searchLayer(q.data(), ep, params_.efConstruction, lu,
-                                 nullptr, vis);
+                                 nullptr, vis, plan.counts);
         ep = found.front();
         plan.selected[lu] = selectNeighbors(q.data(), found, params_.m);
     }
@@ -340,6 +323,7 @@ HnswIndex::buildOrdered(const std::vector<unsigned> &levels)
 
     std::size_t done = 1;
     std::vector<InsertPlan> plans;
+    SearchCounts counts;
     while (done < n) {
         const std::size_t batch =
             std::min({n - done, done, kMaxBatch});
@@ -409,9 +393,12 @@ HnswIndex::buildOrdered(const std::vector<unsigned> &levels)
             }
         });
 
-        // Entry-point handoff in insertion order, as serial HNSW does.
+        // Entry-point handoff in insertion order, as serial HNSW does;
+        // the batch's search counts are summed on the same pass.
         for (std::size_t i = 0; i < batch; ++i) {
             const auto v = static_cast<VectorId>(done + i);
+            counts.hops += plans[i].counts.hops;
+            counts.comps += plans[i].counts.comps;
             if (levels[v] > max_level_) {
                 max_level_ = levels[v];
                 entry_ = v;
@@ -419,6 +406,7 @@ HnswIndex::buildOrdered(const std::vector<unsigned> &levels)
         }
         done += batch;
     }
+    counts.publish();
 }
 
 // ---------------------------------------------------------------------
@@ -510,15 +498,17 @@ HnswIndex::search(const float *query, std::size_t k, std::size_t ef,
     ANSMET_ASSERT(ef >= k, "efSearch must be >= k");
 
     ScratchLease vis(*scratch_);
+    SearchCounts counts;
     Neighbor ep{dist(query, entry_), entry_};
     obs.beginStep(StepKind::kUpperGreedy, sizeof(VectorId), entry_);
     obs.onCompare(ep.id, std::numeric_limits<double>::infinity(), ep.dist,
                   true);
 
     for (unsigned l = max_level_; l > 0; --l)
-        ep = searchLayer(query, ep, 1, l, &obs, *vis).front();
+        ep = searchLayer(query, ep, 1, l, &obs, *vis, counts).front();
 
-    const auto found = searchLayer(query, ep, ef, 0, &obs, *vis);
+    const auto found = searchLayer(query, ep, ef, 0, &obs, *vis, counts);
+    counts.publish();
     std::vector<VectorId> out;
     out.reserve(std::min(k, found.size()));
     for (std::size_t i = 0; i < found.size() && i < k; ++i)

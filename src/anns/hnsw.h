@@ -132,10 +132,22 @@ class HnswIndex
     /** RAII lease of one VisitScratch from the pool. */
     class ScratchLease;
 
-    /** Neighbor lists selected for one vertex, per level (0..top). */
+    /** hnsw.* counts of one search or one build, published as one
+     *  run record (publish()). */
+    struct SearchCounts
+    {
+        std::uint64_t hops = 0;
+        std::uint64_t comps = 0;
+
+        void publish() const;
+    };
+
+    /** Neighbor lists selected for one vertex, per level (0..top),
+     *  and the searches' counts that selected them. */
     struct InsertPlan
     {
         std::vector<std::vector<VectorId>> selected;
+        SearchCounts counts;
     };
 
     unsigned randomLevel(Prng &rng) const;
@@ -149,12 +161,15 @@ class HnswIndex
     /**
      * Beam search within one layer from @p entry.
      * @param vis per-call visited scratch
+     * @param counts caller's counts, advanced by this layer's hops and
+     *        distance computations
      * @return candidates found, ascending by distance (up to ef).
      */
     std::vector<Neighbor> searchLayer(const float *q, Neighbor entry,
                                       std::size_t ef, unsigned level,
                                       SearchObserver *obs,
-                                      VisitScratch &vis) const;
+                                      VisitScratch &vis,
+                                      SearchCounts &counts) const;
 
     /** HNSW Algorithm 4 neighbor selection (heuristic with pruning). */
     std::vector<VectorId> selectNeighbors(const float *q,

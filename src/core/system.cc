@@ -179,8 +179,7 @@ class SystemModel::QueryContext
         }
         const CompareTask &t = s.tasks[task_];
         const et::FetchResult fr = nextFetch(t, 0, sys_.vs_.dims());
-        accountFetch(t, fr.totalLines(), fr.terminatedEarly,
-                     fr.backupLines);
+        accountFetch(t, fr, sys_.fetchsim_->fullLines());
 
         const unsigned lines = std::max(1u, fr.totalLines());
         const Addr addr =
@@ -223,8 +222,7 @@ class SystemModel::QueryContext
             for (const auto &sp : places) {
                 const et::FetchResult fr =
                     nextFetch(t, sp.dimBegin, sp.dimEnd);
-                accountFetch(t, fr.totalLines(), fr.terminatedEarly,
-                             fr.backupLines);
+                accountFetch(t, fr, sp.lines);
                 sys_.loads_->add(sp.rank, fr.totalLines());
 
                 ndp::NdpTask task;
@@ -440,17 +438,29 @@ class SystemModel::QueryContext
         return best;
     }
 
+    /** Count one replayed fetch of a @p layout_lines sub-vector. */
     void
-    accountFetch(const CompareTask &t, unsigned lines, bool terminated,
-                 unsigned backup_lines)
+    accountFetch(const CompareTask &t, const et::FetchResult &fr,
+                 unsigned layout_lines)
     {
+        const unsigned lines = fr.totalLines();
         if (t.accepted)
             stats_.linesEffectual += lines;
         else
             stats_.linesIneffectual += lines;
-        stats_.backupLines += backup_lines;
-        if (terminated)
+        stats_.backupLines += fr.backupLines;
+        if (fr.terminatedEarly)
             ++stats_.terminated;
+
+        EtMetrics &m = sys_.et_;
+        m.comparisons.inc();
+        m.linesFetched.add(fr.lines);
+        m.linesSkipped.add(layout_lines - fr.lines);
+        if (sys_.fetchsim_->checksBounds())
+            m.boundSteps.add(fr.lines);
+        m.backupLines.add(fr.backupLines);
+        if (fr.terminatedEarly)
+            m.terminations.inc();
     }
 
     void
@@ -566,6 +576,16 @@ scaleCachesToDataset(SystemConfig &cfg, std::uint64_t data_bytes)
 // SystemModel
 // ---------------------------------------------------------------------
 
+SystemModel::EtMetrics::EtMetrics(obs::RunRecord &rec)
+    : comparisons(rec.counter("et.comparisons")),
+      linesFetched(rec.counter("et.lines_fetched")),
+      linesSkipped(rec.counter("et.lines_skipped")),
+      terminations(rec.counter("et.terminations")),
+      boundSteps(rec.counter("et.bound_steps")),
+      backupLines(rec.counter("et.backup_lines"))
+{
+}
+
 SystemModel::SystemModel(const SystemConfig &cfg, const anns::VectorSet &vs,
                          anns::Metric metric, const et::EtProfile *profile,
                          const std::vector<VectorId> &hot)
@@ -597,11 +617,8 @@ SystemModel::SystemModel(const SystemConfig &cfg, const anns::VectorSet &vs,
                      rt / std::max(1u, cfg.ndpParams.fetchPipelineDepth)));
         const TickDelta fixed =
             cfg.timing.cycles(rt) + 4 * cfg.ndpParams.period();
-        const et::EtScheme scheme = schemeOf(cfg.design);
-        const bool uses_et = scheme != et::EtScheme::kNone &&
-                             !(scheme == et::EtScheme::kDimOnly &&
-                               metric != anns::Metric::kL2);
-        if (uses_et && profile && !profile->fetchCountDist.empty()) {
+        if (fetchsim_->checksBounds() && profile &&
+            !profile->fetchCountDist.empty()) {
             // Approximate every ET scheme's completion time with the
             // sampled ETOpt fetch distribution (Section 5.4).
             pollEst_ = std::make_unique<ndp::PollingEstimator>(
@@ -633,8 +650,8 @@ SystemModel::allocatePlacement(const std::vector<VectorId> &hot)
         for (const auto &s : subs) {
             const unsigned lines =
                 fetchsim_->subPlan(s.dimEnd - s.dimBegin).totalLines();
-            out.push_back(
-                SubPlace{s.rank, s.dimBegin, s.dimEnd, rank_alloc_[s.rank]});
+            out.push_back(SubPlace{s.rank, s.dimBegin, s.dimEnd, lines,
+                                   rank_alloc_[s.rank]});
             rank_alloc_[s.rank] += lines;
         }
         if (part_->isReplicated(id)) {
@@ -648,7 +665,7 @@ SystemModel::allocatePlacement(const std::vector<VectorId> &hot)
                         fetchsim_->subPlan(s.dimEnd - s.dimBegin)
                             .totalLines();
                     rout.push_back(SubPlace{s.rank, s.dimBegin, s.dimEnd,
-                                            rank_alloc_[s.rank]});
+                                            lines, rank_alloc_[s.rank]});
                     rank_alloc_[s.rank] += lines;
                 }
                 replica_place_[(static_cast<std::uint64_t>(id) << 8) | g] =

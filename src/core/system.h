@@ -28,6 +28,7 @@
 #include "layout/partition.h"
 #include "ndp/ndp_unit.h"
 #include "ndp/polling.h"
+#include "obs/metrics.h"
 
 namespace ansmet::core {
 
@@ -239,7 +240,21 @@ class SystemModel
         unsigned rank;
         unsigned dimBegin;
         unsigned dimEnd;
+        unsigned lines; //!< layout lines of the sub-vector
         std::uint64_t baseLine;
+    };
+
+    /** The run's et.* entries in eq_.record(), bound once; advanced
+     *  once per replayed fetch. */
+    struct EtMetrics
+    {
+        explicit EtMetrics(obs::RunRecord &rec);
+        obs::RunCounter &comparisons;
+        obs::RunCounter &linesFetched;
+        obs::RunCounter &linesSkipped;
+        obs::RunCounter &terminations;
+        obs::RunCounter &boundSteps;
+        obs::RunCounter &backupLines;
     };
 
     /** Precomputed outcome of one FetchSimulator call during replay. */
@@ -285,6 +300,7 @@ class SystemModel
     anns::Metric metric_;
 
     sim::EventQueue eq_;
+    EtMetrics et_{eq_.record()};
     std::unique_ptr<et::FetchSimulator> fetchsim_;
     std::unique_ptr<cpu::HostCpu> hostCpu_;
     std::vector<std::unique_ptr<ndp::NdpUnit>> units_;

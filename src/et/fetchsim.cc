@@ -1,63 +1,10 @@
 #include "et/fetchsim.h"
 
 #include <limits>
-#include <mutex>
 
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace ansmet::et {
-
-namespace {
-
-struct EtMetrics
-{
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Counter comparisons = reg.counter("et.comparisons");
-    obs::Counter linesFetched = reg.counter("et.lines_fetched");
-    obs::Counter linesSkipped = reg.counter("et.lines_skipped");
-    obs::Counter terminations = reg.counter("et.terminations");
-    obs::Counter boundSteps = reg.counter("et.bound_steps");
-    obs::Counter backupLines = reg.counter("et.backup_lines");
-};
-
-EtMetrics &
-etMetrics()
-{
-    static EtMetrics m;
-    return m;
-}
-
-/**
- * One comparison's metric deltas, accumulated locally and published
- * in a single batch on scope exit: simulateRange runs on thread-pool
- * workers during precompute, and per-line shard traffic there would
- * be measurable.
- */
-struct ComparisonRecord
-{
-    unsigned totalLines;
-    unsigned lines = 0;
-    unsigned boundSteps = 0;
-    unsigned backupLines = 0;
-    bool terminated = false;
-
-    explicit ComparisonRecord(unsigned total) : totalLines(total) {}
-
-    ~ComparisonRecord()
-    {
-        EtMetrics &m = etMetrics();
-        m.comparisons.inc();
-        m.linesFetched.add(lines);
-        m.linesSkipped.add(totalLines - lines);
-        m.boundSteps.add(boundSteps);
-        m.backupLines.add(backupLines);
-        if (terminated)
-            m.terminations.inc();
-    }
-};
-
-} // namespace
 
 const char *
 schemeName(EtScheme s)
@@ -212,13 +159,11 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
     res.accepted = res.exactDist < threshold;
 
     const unsigned w = keyBits(vs_.type());
-    ComparisonRecord rec(plan.totalLines());
 
     if (!checksBounds()) {
         // Plain full fetch of the sub-vector.
         res.lines = plan.totalLines();
         res.estimate = res.exactDist;
-        rec.lines = res.lines;
         return res;
     }
 
@@ -258,8 +203,6 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
     while (!cursor.done()) {
         const LineInfo info = cursor.next();
         ++res.lines;
-        rec.lines = res.lines;
-        ++rec.boundSteps;
         ANSMET_DCHECK(res.lines <= plan.totalLines(),
                       "fetch cursor overran the layout: ", res.lines,
                       " of ", plan.totalLines());
@@ -307,7 +250,6 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
 
         if (boundExceeds(acc.lowerBound(), threshold)) {
             res.terminatedEarly = true;
-            rec.terminated = true;
             res.estimate = acc.lowerBound();
             // Lossless-vs-exact agreement: the schemes are designed so
             // termination never rejects a vector the exact comparison
@@ -336,7 +278,6 @@ FetchSimulator::simulateRange(const float *query, VectorId v,
     if (is_outlier) {
         res.backupLines = static_cast<unsigned>(
             divCeil(static_cast<std::uint64_t>(n) * w, 512));
-        rec.backupLines = res.backupLines;
     }
 
     return res;

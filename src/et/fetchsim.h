@@ -116,7 +116,6 @@ class FetchSimulator
      */
     const FetchPlanSpec &subPlan(unsigned dims) const;
 
-  private:
     /**
      * Whether this scheme performs bound checks at all. Matches the
      * paper's observation that partial-dimension-only ET (prior work)
@@ -137,6 +136,7 @@ class FetchSimulator
         return true;
     }
 
+  private:
     const anns::VectorSet &vs_;
     anns::Metric metric_;
     EtScheme scheme_;

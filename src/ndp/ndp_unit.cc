@@ -51,7 +51,6 @@ NdpUnit::submit(unsigned qshr, NdpTask task)
         // All architectural slots busy: stage host-side until one
         // frees. Execution order is unchanged (strict FIFO per QSHR).
         q.staged.push_back(std::move(task));
-        ++backpressure_events_;
         m_.backpressure.inc();
         return;
     }
@@ -117,7 +116,6 @@ NdpUnit::issueWindow(unsigned qshr)
         ++q.nextLine;
         --q.linesToIssue;
         ++q.linesInFlight;
-        ++lines_fetched_;
         m_.lines.inc();
         ctrl_->enqueue(0, std::move(req));
     }
@@ -170,7 +168,6 @@ NdpUnit::lineArrived(unsigned qshr, Tick when)
             qs.fifo.push_back(std::move(qs.staged.front()));
             qs.staged.pop_front();
         }
-        ++tasks_completed_;
         m_.tasks.inc();
         m_.taskLines.sample(std::max(1u, done.lines));
         m_.taskLatency.sample((end - qs.headStart).raw());

@@ -101,23 +101,12 @@ class NdpUnit
     /** Tasks waiting in @p qshr's staging queue for a free slot. */
     unsigned stagedTasks(unsigned qshr) const;
 
-    /** Submissions that found all task slots full and had to stage. */
-    std::uint64_t backpressureEvents() const
-    {
-        return backpressure_events_;
-    }
-
     unsigned id() const { return id_; }
     dram::MemController &rankController() { return *ctrl_; }
     const dram::MemController &rankController() const { return *ctrl_; }
 
-    /** Total 64 B lines fetched by this unit. */
-    std::uint64_t linesFetched() const { return lines_fetched_; }
-
     /** Ticks the compute unit spent busy (for energy). */
     TickDelta computeBusy() const { return compute_busy_; }
-
-    std::uint64_t tasksCompleted() const { return tasks_completed_; }
 
   private:
     struct QshrState
@@ -144,9 +133,6 @@ class NdpUnit
 
     Tick compute_free_at_{};
     TickDelta compute_busy_{};
-    std::uint64_t lines_fetched_ = 0;
-    std::uint64_t tasks_completed_ = 0;
-    std::uint64_t backpressure_events_ = 0;
 
     /** The run's ndp.* entries in eq_.record(), bound once. */
     struct Metrics

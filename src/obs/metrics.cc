@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <cstdio>
-#include <memory>
 
 #include "common/check.h"
 #include "common/sync.h"
@@ -112,12 +111,6 @@ RunRecord::histogram(std::string_view name, unsigned buckets)
 struct Registry::Impl
 {
     mutable Mutex mu;
-    // Worker-thread counters: name -> shard slot.
-    std::map<std::string, std::uint32_t> slots
-        ANSMET_GUARDED_BY(mu);
-    std::vector<std::unique_ptr<detail::Shard>> shards
-        ANSMET_GUARDED_BY(mu);
-    std::uint32_t nextSlot ANSMET_GUARDED_BY(mu) = 0;
     // Totals of every published RunRecord.
     std::map<std::string, std::uint64_t> counters ANSMET_GUARDED_BY(mu);
     std::map<std::string, HistogramData> histograms ANSMET_GUARDED_BY(mu);
@@ -137,39 +130,6 @@ Registry::instance()
     // NOLINTNEXTLINE(ansmet-rawnew): leaked singleton; atexit-safe.
     static Registry *reg = new Registry;
     return *reg;
-}
-
-namespace detail {
-
-Shard &
-newShard()
-{
-    // Registry-owned so snapshot() sees the shard and the storage
-    // outlives the recording thread (handles cache a raw pointer and
-    // may flush from atexit handlers after thread teardown).
-    Registry::Impl &i = Registry::instance().impl();
-    auto shard = std::make_unique<Shard>();
-    Shard &ref = *shard;
-    MutexLock lock(i.mu);
-    i.shards.push_back(std::move(shard));
-    return ref;
-}
-
-} // namespace detail
-
-Counter
-Registry::counter(std::string_view name)
-{
-    Impl &i = impl();
-    MutexLock lock(i.mu);
-    const auto [it, fresh] = i.slots.try_emplace(std::string(name), 0);
-    if (fresh) {
-        ANSMET_CHECK(i.nextSlot < detail::kShardSlots,
-                     "obs: shard capacity exhausted (", detail::kShardSlots,
-                     " slots); raise kShardSlots");
-        it->second = i.nextSlot++;
-    }
-    return Counter(it->second);
 }
 
 void
@@ -202,12 +162,6 @@ Registry::snapshot() const
     Snapshot snap;
     snap.counters = i.counters;
     snap.histograms = i.histograms;
-    for (const auto &[name, slot] : i.slots) {
-        std::uint64_t sum = 0;
-        for (const auto &shard : i.shards)
-            sum += shard->slots[slot].load(std::memory_order_relaxed);
-        snap.counters[name] += sum;
-    }
     return snap;
 }
 
@@ -222,9 +176,6 @@ Registry::reset()
 {
     Impl &i = impl();
     MutexLock lock(i.mu);
-    for (const auto &shard : i.shards)
-        for (auto &slot : shard->slots)
-            slot.store(0, std::memory_order_relaxed);
     for (auto &[name, v] : i.counters)
         v = 0;
     for (auto &[name, h] : i.histograms)

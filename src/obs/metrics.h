@@ -3,35 +3,29 @@
  * Metrics: per-run records, and the process-wide registry they are
  * published into.
  *
- * Two kinds of writer, two mechanisms (see DESIGN.md, "Observability
- * layer"):
- *  - a simulated run is a single-threaded event loop. Everything it
- *    measures goes into one RunRecord owned by the run's
- *    sim::EventQueue: plain, non-atomic RunCounter and RunHistogram
- *    entries plus the run's trace pid. Each entry has exactly one
- *    writer. SystemModel::endSession() publishes the record into the
- *    Registry once, under the registry mutex, so a snapshot never sees
- *    a run half applied;
- *  - worker-thread code (et.*, hnsw.*) records through Counter handles:
- *    one lock-free relaxed add into a thread-local shard, merged only
- *    by snapshot().
+ * One writer kind, one path (see DESIGN.md, "Observability layer").
+ * Everything a simulated run measures goes into one RunRecord owned
+ * by the run's sim::EventQueue: RunCounter and RunHistogram entries
+ * updated with plain adds, plus the run's trace pid. Each entry has
+ * exactly one writer. SystemModel::endSession() publishes the record
+ * into the Registry once, under the registry mutex, so a snapshot
+ * never sees a run half applied. Code outside a simulated run (the
+ * HNSW build and search) fills a local RunRecord and publishes it the
+ * same way.
  *
  * Recording never feeds back into any simulated quantity, so figure
  * output does not depend on it.
  *
  *   obs::RunCounter &reads = eq.record().counter("dram.reads");
  *   reads.inc();                          // event thread, plain add
- *
- *   static obs::Counter c = obs::Registry::instance().counter("x.y");
- *   c.add(n);                             // any thread
+ *   ...
+ *   obs::Registry::instance().publish(eq.record());  // once, at the end
  */
 
 #ifndef ANSMET_METRICS_H
 #define ANSMET_METRICS_H
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -134,7 +128,8 @@ class RunHistogram
  * trace pid its spans are stamped with. Entries are created on first
  * lookup by name and never move, so components bind references once
  * (at construction) and record through them afterwards. Not
- * thread-safe: written and published by the run's event thread only.
+ * thread-safe: written and published by one thread (for a simulated
+ * run, its event thread).
  */
 class RunRecord
 {
@@ -162,52 +157,6 @@ class RunRecord
     std::uint32_t trace_pid_ = 0;
 };
 
-namespace detail {
-
-/** Counter slots per thread shard; registration past it panics. */
-constexpr std::uint32_t kShardSlots = 4096;
-
-struct Shard
-{
-    // relaxed everywhere: each slot is written by exactly one thread
-    // (the shard owner) and only summed by snapshot() under the
-    // registry mutex. A counter is one slot, so every read of it is
-    // whole on its own.
-    std::array<std::atomic<std::uint64_t>, kShardSlots> slots{};
-};
-
-/** Allocate this thread's shard and register it (metrics.cc). */
-Shard &newShard();
-
-inline Shard &
-shard()
-{
-    thread_local Shard *s = &newShard();
-    return *s;
-}
-
-} // namespace detail
-
-/** Monotonic event counter for worker threads (per-thread sharded). */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void
-    add(std::uint64_t n)
-    {
-        detail::shard().slots[slot_].fetch_add(n,
-                                               std::memory_order_relaxed);
-    }
-    void inc() { add(1); }
-
-  private:
-    friend class Registry;
-    explicit Counter(std::uint32_t slot) : slot_(slot) {}
-    std::uint32_t slot_ = 0;
-};
-
 /** Process-wide metric registry. */
 class Registry
 {
@@ -215,31 +164,21 @@ class Registry
     /** The singleton (leaky; safe from atexit handlers). */
     static Registry &instance();
 
-    /** Register (or fetch) a worker-thread counter by name.
-     *  Idempotent: the same name always shares one storage. */
-    Counter counter(std::string_view name);
-
     /** Add every entry of @p run to the published totals, at once. */
     void publish(const RunRecord &run);
 
-    /** Sharded counters plus published totals; a counter name used
-     *  by both reports their sum. */
+    /** Totals of every record published so far. */
     Snapshot snapshot() const;
 
     /** snapshot().toJson() convenience. */
     std::string snapshotJson() const;
 
-    /**
-     * Zero every counter and published total (tests and run-scoped
-     * collection). Racy against concurrent Counter writers by design —
-     * callers quiesce recording threads first.
-     */
+    /** Zero every published total (tests and run-scoped collection). */
     void reset();
 
     ~Registry() = delete;
 
   private:
-    friend detail::Shard &detail::newShard();
     Registry() = default;
     struct Impl;
     Impl &impl() const;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -26,6 +27,13 @@ smallOrg()
     org.dimmsPerChannel = 1;
     org.ranksPerDimm = 1;
     return org;
+}
+
+/** Counter @p name of the run recorded by @p eq (one unit per queue). */
+std::uint64_t
+counted(sim::EventQueue &eq, std::string_view name)
+{
+    return eq.record().counter(name).value();
 }
 
 TEST(Instr, SetQueryWriteCounts)
@@ -56,8 +64,8 @@ TEST(NdpUnit, SingleTaskLatency)
                              tp.cycles(tp.tRCD + tp.tCL + tp.tBL) +
                              np.period() * 3;
     EXPECT_EQ(done, Tick{} + expect);
-    EXPECT_EQ(unit.linesFetched(), 1u);
-    EXPECT_EQ(unit.tasksCompleted(), 1u);
+    EXPECT_EQ(counted(eq, "ndp.lines_fetched"), 1u);
+    EXPECT_EQ(counted(eq, "ndp.tasks_completed"), 1u);
 }
 
 TEST(NdpUnit, TasksOnOneQshrSerialize)
@@ -116,7 +124,7 @@ TEST(NdpUnit, EarlyTerminationFetchesFewerLines)
     unit.submit(0, std::move(full));
     eq.run();
     const Tick t_full = eq.now();
-    EXPECT_EQ(unit.linesFetched(), 8u);
+    EXPECT_EQ(counted(eq, "ndp.lines_fetched"), 8u);
 
     sim::EventQueue eq2;
     NdpUnit unit2(eq2, NdpParams{}, tp, smallOrg(), 0);
@@ -125,7 +133,7 @@ TEST(NdpUnit, EarlyTerminationFetchesFewerLines)
     unit2.submit(0, std::move(et));
     eq2.run();
     EXPECT_LT(eq2.now(), t_full);
-    EXPECT_EQ(unit2.linesFetched(), 2u);
+    EXPECT_EQ(counted(eq2, "ndp.lines_fetched"), 2u);
 }
 
 TEST(PollingEstimator, ExpectationFromDistribution)
@@ -236,14 +244,14 @@ TEST(NdpUnitStress, BackpressurePastArchitecturalSlots)
         EXPECT_EQ(unit.occupiedSlots(q), np.tasksPerQshr);
         EXPECT_EQ(unit.stagedTasks(q), kPerQshr - np.tasksPerQshr);
     }
-    EXPECT_EQ(unit.backpressureEvents(),
+    EXPECT_EQ(counted(eq, "ndp.backpressure_staged"),
               static_cast<std::uint64_t>(np.numQshrs) *
                   (kPerQshr - np.tasksPerQshr));
 
     eq.run();
     EXPECT_EQ(completed,
               static_cast<std::uint64_t>(np.numQshrs) * kPerQshr);
-    EXPECT_EQ(unit.tasksCompleted(), completed);
+    EXPECT_EQ(counted(eq, "ndp.tasks_completed"), completed);
     for (unsigned q = 0; q < np.numQshrs; ++q) {
         EXPECT_EQ(unit.occupiedSlots(q), 0u);
         EXPECT_EQ(unit.stagedTasks(q), 0u);
@@ -324,7 +332,7 @@ TEST(NdpUnitStress, BackpressureIsTimingNeutral)
             unit.submit(0, std::move(t));
         }
         eq.run();
-        EXPECT_EQ(unit.backpressureEvents(), 0u);
+        EXPECT_EQ(counted(eq, "ndp.backpressure_staged"), 0u);
     }
 
     EXPECT_EQ(staged_done, fed_done);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Observability-layer tests: registry semantics (sharded counters,
- * published run records, merging across threads), snapshot JSON shape,
+ * Observability-layer tests: registry semantics (published run
+ * records, merging across records and threads), snapshot JSON shape,
  * and the Chrome-trace writer's off-by-default behaviour.
  */
 
@@ -28,9 +28,11 @@ class RegistryTest : public ::testing::Test
 
 TEST_F(RegistryTest, CounterAccumulates)
 {
-    Counter c = Registry::instance().counter("test.counter_a");
+    RunRecord run;
+    RunCounter &c = run.counter("test.counter_a");
     c.inc();
     c.add(41);
+    Registry::instance().publish(run);
     const Snapshot snap = Registry::instance().snapshot();
     ASSERT_TRUE(snap.counters.count("test.counter_a"));
     EXPECT_EQ(snap.counters.at("test.counter_a"), 42u);
@@ -38,10 +40,13 @@ TEST_F(RegistryTest, CounterAccumulates)
 
 TEST_F(RegistryTest, RegistrationIsIdempotent)
 {
-    Counter a = Registry::instance().counter("test.same_name");
-    Counter b = Registry::instance().counter("test.same_name");
-    a.add(1);
-    b.add(2);
+    // Records that use one name publish into one total.
+    RunRecord a;
+    RunRecord b;
+    a.counter("test.same_name").add(1);
+    b.counter("test.same_name").add(2);
+    Registry::instance().publish(a);
+    Registry::instance().publish(b);
     const Snapshot snap = Registry::instance().snapshot();
     EXPECT_EQ(snap.counters.at("test.same_name"), 3u);
 }
@@ -217,7 +222,6 @@ TEST_F(RegistryTest, SnapshotDoesNotTearHistogramMidRun)
 
 TEST_F(RegistryTest, ShardsMergeAcrossThreads)
 {
-    Counter c = Registry::instance().counter("test.mt_counter");
     constexpr int kThreads = 8;
     constexpr int kIters = 10000;
     std::vector<std::thread> threads;
@@ -225,6 +229,7 @@ TEST_F(RegistryTest, ShardsMergeAcrossThreads)
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&] {
             RunRecord run;
+            RunCounter &c = run.counter("test.mt_counter");
             RunHistogram &h = run.histogram("test.mt_hist", 8);
             for (int i = 0; i < kIters; ++i) {
                 c.inc();
@@ -244,8 +249,8 @@ TEST_F(RegistryTest, ShardsMergeAcrossThreads)
 
 TEST_F(RegistryTest, SnapshotJsonIsParsableShape)
 {
-    Registry::instance().counter("test.json_counter").add(5);
     RunRecord run;
+    run.counter("test.json_counter").add(5);
     run.histogram("test.json_hist", 4).sample(1);
     Registry::instance().publish(run);
     const std::string json = Registry::instance().snapshotJson();
@@ -263,9 +268,8 @@ TEST_F(RegistryTest, SnapshotJsonIsParsableShape)
 
 TEST_F(RegistryTest, ResetZeroesEverything)
 {
-    Counter c = Registry::instance().counter("test.reset_counter");
-    c.add(9);
     RunRecord run;
+    run.counter("test.reset_counter").add(9);
     run.counter("test.reset_run_counter").add(4);
     run.histogram("test.reset_hist", 4).sample(3);
     Registry::instance().publish(run);

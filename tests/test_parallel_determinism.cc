@@ -87,15 +87,43 @@ TEST(ParallelDeterminism, GroundTruthMatchesSerial)
     }
 }
 
+/** Counter @p name of @p b minus that of @p a. */
+std::uint64_t
+counterDelta(const obs::Snapshot &a, const obs::Snapshot &b,
+             const std::string &name)
+{
+    const auto ia = a.counters.find(name);
+    const auto ib = b.counters.find(name);
+    return (ib == b.counters.end() ? 0 : ib->second) -
+           (ia == a.counters.end() ? 0 : ia->second);
+}
+
 TEST(ParallelDeterminism, HnswBuildMatchesSerial)
 {
     const auto &ds = dataset();
     const anns::HnswParams params{16, 80, 42};
+    obs::Registry &reg = obs::Registry::instance();
+    const obs::Snapshot s0 = reg.snapshot();
     const anns::HnswIndex par(*ds.base, anns::Metric::kL2, params);
+    const obs::Snapshot s1 = reg.snapshot();
     const auto ser = runSerial([&] {
         return std::make_unique<anns::HnswIndex>(*ds.base,
                                                  anns::Metric::kL2, params);
     });
+    const obs::Snapshot s2 = reg.snapshot();
+
+    // Each build publishes its searches' counts once, whatever the
+    // lane count.
+    for (const char *name : {"hnsw.hops", "hnsw.distance_comps"}) {
+        EXPECT_GT(counterDelta(s0, s1, name), 0u) << name;
+        EXPECT_EQ(counterDelta(s1, s2, name), counterDelta(s0, s1, name))
+            << name;
+    }
+    // So does a single search.
+    (void)par.search(ds.queries[0].data(), 10, 64);
+    const obs::Snapshot s3 = reg.snapshot();
+    EXPECT_GT(counterDelta(s2, s3, "hnsw.hops"), 0u);
+    EXPECT_GT(counterDelta(s2, s3, "hnsw.distance_comps"), 0u);
 
     EXPECT_EQ(par.entryPoint(), ser->entryPoint());
     ASSERT_EQ(par.maxLevel(), ser->maxLevel());
@@ -265,9 +293,7 @@ TEST(ParallelDeterminism, ConcurrentSessionsPublishOwnRecords)
             .run(traces)
             .makespan;
     const obs::Snapshot s1 = reg.snapshot();
-    const std::uint64_t serialReads =
-        s1.counters.at("dram.reads") -
-        (s0.counters.count("dram.reads") ? s0.counters.at("dram.reads") : 0);
+    const std::uint64_t serialReads = counterDelta(s0, s1, "dram.reads");
     ASSERT_GT(serialReads, 0u);
 
     // Halfway through each run, an event waits until the other run is

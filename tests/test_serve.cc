@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -385,6 +387,20 @@ TEST(Serve, FixedSeedRunIsBitwiseReproducible)
     expectBitwiseEqual(a, b);
 }
 
+/** Every et.* counter of @p b minus that of @p a. */
+std::map<std::string, std::uint64_t>
+etDeltas(const obs::Snapshot &a, const obs::Snapshot &b)
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const auto &[name, v] : b.counters) {
+        if (name.rfind("et.", 0) != 0)
+            continue;
+        const auto it = a.counters.find(name);
+        out[name] = v - (it == a.counters.end() ? 0 : it->second);
+    }
+    return out;
+}
+
 TEST(Serve, LatencySamplesIndependentOfThreadConfig)
 {
     // The only parallel stage in a serve is the pure fetch precompute;
@@ -393,13 +409,27 @@ TEST(Serve, LatencySamplesIndependentOfThreadConfig)
     // with the sandboxed generateArrivals test this is the
     // "bitwise-identical across ANSMET_THREADS/ANSMET_CORES" contract:
     // thread/core counts only ever reach those two mechanisms.
+    obs::Registry &reg = obs::Registry::instance();
+    const obs::Snapshot s0 = reg.snapshot();
     const auto pooled = runServe(200000.0, /*prefetch=*/true);
+    const obs::Snapshot s1 = reg.snapshot();
     const auto serial = runServe(200000.0, /*prefetch=*/false);
+    const obs::Snapshot s2 = reg.snapshot();
     expectBitwiseEqual(pooled, serial);
 
     const auto sandboxed =
         runSerial([] { return runServe(200000.0, /*prefetch=*/true); });
+    const obs::Snapshot s3 = reg.snapshot();
     expectBitwiseEqual(pooled, sandboxed);
+
+    // The et.* counts are one per replayed fetch, so they do not
+    // depend on whether (or on how many lanes) the fetches were
+    // simulated ahead of the replay.
+    const auto et = etDeltas(s0, s1);
+    ASSERT_EQ(et.size(), 6u);
+    EXPECT_GT(et.at("et.comparisons"), 0u);
+    EXPECT_EQ(etDeltas(s1, s2), et);
+    EXPECT_EQ(etDeltas(s2, s3), et);
 }
 
 TEST(Serve, ReportsAllPhasesWithOrderedTails)

@@ -209,8 +209,8 @@ _INT_CAST_TARGETS = {"uintptr_t", "intptr_t", "size_t", "ptrdiff_t",
 _GROW_METHODS = {"push_back", "emplace_back", "push_front",
                  "emplace_front", "insert", "emplace", "push",
                  "assign", "append"}
-# obs recording surfaces (Counter, RunCounter, RunHistogram, the
-# serve LatencyRecorder).
+# obs recording surfaces (RunCounter, RunHistogram, the serve
+# LatencyRecorder).
 _OBS_RECORD_METHODS = {"record", "inc", "add", "set", "observe", "sample"}
 # Ids never worth tainting in a range-for declaration (type furniture).
 _TYPEISH_IDS = {"auto", "const", "std", "size_t", "uint8_t", "uint16_t",
