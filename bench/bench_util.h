@@ -19,7 +19,7 @@
 #include <string>
 
 #include "common/table.h"
-#include "common/runtime/core_set.h"
+#include "common/runtime/runtime.h"
 #include "core/experiment.h"
 #include "obs/trace.h"
 
@@ -147,7 +147,7 @@ banner(const char *what, const char *paper_ref)
                                  .count();
             std::printf("\n[timing] total wall-clock: %.2f s "
                         "(ANSMET_THREADS=%u)\n",
-                        s, runtime::CoreSet::configuredLanes());
+                        s, runtime::configuredLanes());
         });
     }
 }

@@ -1,63 +1,51 @@
 /**
  * @file
- * Macro-benchmark of the task runtime against the retired flat pool.
+ * Macro-benchmark of the fork-join pool (common/runtime/).
  *
  * Families, emitted into BENCH_runtime.json by CI
  * (`--benchmark_out=BENCH_runtime.json --benchmark_out_format=json`):
  *
- *  - runtime_chain/<tier>: fan-out/fan-in rounds of tiny tasks spread
- *    across all lanes ("task" = common/runtime/, "flat" = the old
- *    mutex/cv pool preserved in reference_flat_pool.h). Measures raw
- *    submission + dispatch throughput.
+ *  - runtime_parallel_for/dispatch: back-to-back parallelFor calls
+ *    whose chunks do almost nothing, so the time per call is the
+ *    pool's own cost — publish the job, wake the workers, claim the
+ *    cursor, join. Informational (no tier suffix, so bench_diff
+ *    reports no ratio for it).
  *
- *  - runtime_steal/<tier>: the same rounds with every task homed on
- *    worker 0, so the task runtime serves almost everything through
- *    steals from one channel while the flat pool hammers its one lock
- *    either way. This is the gated pair; CI enforces
+ *  - runtime_parallel_for/cpu/<tier>: one CPU-bound parallelFor over
+ *    independent items, on a one-lane pool ("ref", the
+ *    ANSMET_THREADS=1 reference path) and on a pool of the configured
+ *    lanes ("opt"). This is the gated pair; on a host with at least
+ *    two cores CI enforces
  *        python3 tools/bench_diff.py --speedup BENCH_runtime.json \
- *            --min-ratio 1.3 --require runtime_steal/task
- *
- *  - runtime_affinity/{local,hop}/task: informational (no flat
- *    sibling, bench_diff skips unpaired entries). Per-worker pipelines
- *    that repost themselves to the same worker vs. the next one,
- *    isolating the cost of a cross-channel hop.
- *
- * Both engines are built with the same lane count and use the same
- * atomic-counter completion protocol, so the measured delta is the
- * dispatch machinery, not the harness.
+ *            --min-ratio 1.3 --require runtime_parallel_for/cpu/opt
  */
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <thread>
+#include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <utility>
+#include <numeric>
+#include <vector>
 
-#include "bench/reference_flat_pool.h"
-#include "common/runtime/core_set.h"
 #include "common/runtime/runtime.h"
 
 namespace {
 
 using namespace ansmet;
 
-/** Lanes for both engines: the configured count, clamped so the bench
- *  is meaningful on one core (workers must exist) and does not drown a
- *  big CI runner in oversubscription noise. */
+/** Lanes of the measured pool: the configured count, clamped so the
+ *  pool has a worker even on one core and does not drown a big CI
+ *  runner in oversubscription noise. */
 unsigned
 benchLanes()
 {
-    const unsigned cfg = runtime::CoreSet::configuredLanes();
-    return cfg < 2 ? 2 : (cfg > 8 ? 8 : cfg);
+    return std::clamp(runtime::configuredLanes(), 2u, 8u);
 }
 
-constexpr unsigned kTasksPerRound = 256;
-constexpr unsigned kHopsPerPipe = 256;
+/** Items of the CPU-bound loop; each is a few hundred nanoseconds. */
+constexpr std::size_t kCpuItems = std::size_t{1} << 14;
 
-/** Per-task payload: a few xorshift rounds, small enough that dispatch
- *  overhead dominates the measurement. */
+/** Per-item payload: xorshift rounds, pure in the item index. */
 inline std::uint64_t
 spinWork(std::uint64_t x)
 {
@@ -69,163 +57,40 @@ spinWork(std::uint64_t x)
     return x | 1;
 }
 
-/** Completion-wait poll used identically by both tiers: brief pause
- *  spin, then yield so an oversubscribed host (one-core CI shard) can
- *  schedule the workers the waiter is waiting on. */
-struct Waiter
-{
-    unsigned spins = 0;
-
-    void
-    poll()
-    {
-        if (++spins < 64) {
-#if defined(__x86_64__) || defined(__i386__)
-            __builtin_ia32_pause();
-#endif
-            return;
-        }
-        spins = 0;
-        std::this_thread::yield();
-    }
-};
-
-struct FlatEngine
-{
-    explicit FlatEngine(unsigned lanes) : pool(lanes) {}
-
-    template <typename Fn>
-    void
-    post(unsigned, Fn fn)
-    {
-        pool.post(std::move(fn)); // no affinity concept: one shared queue
-    }
-
-    bench::FlatPool pool;
-};
-
-struct TaskEngine
-{
-    explicit TaskEngine(unsigned lanes)
-        : rt(runtime::RuntimeConfig{runtime::CoreSet::identity(lanes)})
-    {
-    }
-
-    template <typename Fn>
-    void
-    post(unsigned affinity, Fn fn)
-    {
-        rt.post(runtime::Task{runtime::Task::Fn{std::move(fn)}, affinity});
-    }
-
-    runtime::Runtime rt;
-};
-
-/** Continuations each task spawns from inside its worker, so workers
- *  are producers too — the multi-producer traffic where the flat
- *  pool's single lock actually contends. */
-constexpr unsigned kChainDepth = 3;
-
-struct RoundCounters
-{
-    std::atomic<std::uint64_t> done{0};
-    std::atomic<std::uint64_t> sink{0};
-};
-
-/** Run one payload, count it, and repost the continuation (same
- *  affinity) until the chain is spent. */
-template <class Engine>
 void
-chainTask(Engine &eng, RoundCounters &c, unsigned affinity, unsigned t,
-          unsigned depth)
+BM_Dispatch(benchmark::State &state)
 {
-    eng.post(affinity, [&eng, &c, affinity, t, depth] {
-        c.sink.fetch_add(spinWork(0x9E3779B97F4A7C15ull + t + depth),
-                         std::memory_order_relaxed);
-        if (depth > 0)
-            chainTask(eng, c, affinity, t, depth - 1);
-        c.done.fetch_add(1, std::memory_order_release);
-    });
-}
-
-/**
- * Fan-out/fan-in rounds of continuation chains. @p steal_heavy homes
- * every chain on worker 0 (ignored by FlatEngine); otherwise chains
- * round-robin across lanes.
- */
-template <class Engine>
-void
-BM_Rounds(benchmark::State &state, bool steal_heavy)
-{
-    Engine eng(benchLanes());
-    RoundCounters c;
-    constexpr std::uint64_t kPerRound =
-        std::uint64_t{kTasksPerRound} * (kChainDepth + 1);
-    std::uint64_t items = 0;
+    runtime::Runtime rt(benchLanes());
+    const std::size_t n = std::size_t{8} * rt.lanes();
+    std::vector<std::uint64_t> slot(n, 0);
+    std::int64_t calls = 0;
     for (auto _ : state) {
-        const std::uint64_t target =
-            c.done.load(std::memory_order_relaxed) + kPerRound;
-        for (unsigned t = 0; t < kTasksPerRound; ++t)
-            chainTask(eng, c, steal_heavy ? 0 : t, t, kChainDepth);
-        Waiter w;
-        while (c.done.load(std::memory_order_acquire) < target)
-            w.poll();
-        items += kPerRound;
+        rt.parallelFor(0, n, [&slot](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                slot[i] += i;
+        });
+        ++calls;
     }
-    benchmark::DoNotOptimize(c.sink.load(std::memory_order_relaxed));
-    state.SetItemsProcessed(static_cast<std::int64_t>(items));
-}
-
-// --------------------------------------------------------------------
-// Affinity pipelines (task runtime only).
-// --------------------------------------------------------------------
-
-struct PipeCtx
-{
-    std::atomic<std::uint64_t> finished{0};
-    std::atomic<std::uint64_t> sink{0};
-};
-
-/** One pipeline hop: do the payload, repost to the next worker (the
- *  same one for "local", the ring neighbour for "hop"). Reposting from
- *  inside a worker enqueues on the target channel — exactly the
- *  cross-channel traffic this family isolates. */
-void
-hopTask(runtime::Runtime &rt, const std::shared_ptr<PipeCtx> &ctx,
-        unsigned worker, unsigned stride, unsigned remaining)
-{
-    ctx->sink.fetch_add(spinWork(worker * 0x9E3779B9u + remaining),
-                        std::memory_order_relaxed);
-    if (remaining == 0) {
-        ctx->finished.fetch_add(1, std::memory_order_release);
-        return;
-    }
-    const unsigned next = (worker + stride) % rt.numWorkers();
-    rt.post(runtime::Task{
-        runtime::Task::Fn{[&rt, ctx, next, stride, remaining] {
-            hopTask(rt, ctx, next, stride, remaining - 1);
-        }},
-        next});
+    benchmark::DoNotOptimize(slot.data());
+    state.SetItemsProcessed(calls);
 }
 
 void
-BM_Affinity(benchmark::State &state, unsigned stride)
+BM_Cpu(benchmark::State &state, unsigned lanes)
 {
-    TaskEngine eng(benchLanes());
-    const unsigned pipes = eng.rt.numWorkers();
-    std::uint64_t items = 0;
+    runtime::Runtime rt(lanes);
+    std::vector<std::uint64_t> slot(kCpuItems, 0);
+    std::int64_t items = 0;
     for (auto _ : state) {
-        auto ctx = std::make_shared<PipeCtx>();
-        for (unsigned w = 0; w < pipes; ++w)
-            eng.post(w, [&rt = eng.rt, ctx, w, stride] {
-                hopTask(rt, ctx, w, stride, kHopsPerPipe);
-            });
-        Waiter waiter;
-        while (ctx->finished.load(std::memory_order_acquire) < pipes)
-            waiter.poll();
-        items += static_cast<std::uint64_t>(pipes) * kHopsPerPipe;
+        rt.parallelFor(0, kCpuItems, [&slot](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                slot[i] = spinWork(0x9E3779B97F4A7C15ull + i);
+        });
+        benchmark::DoNotOptimize(
+            std::accumulate(slot.begin(), slot.end(), std::uint64_t{0}));
+        items += static_cast<std::int64_t>(kCpuItems);
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(items));
+    state.SetItemsProcessed(items);
 }
 
 } // namespace
@@ -233,24 +98,14 @@ BM_Affinity(benchmark::State &state, unsigned stride)
 int
 main(int argc, char **argv)
 {
+    benchmark::RegisterBenchmark("runtime_parallel_for/dispatch",
+                                 BM_Dispatch);
     benchmark::RegisterBenchmark(
-        "runtime_chain/flat",
-        [](benchmark::State &st) { BM_Rounds<FlatEngine>(st, false); });
+        "runtime_parallel_for/cpu/ref",
+        [](benchmark::State &st) { BM_Cpu(st, 1); });
     benchmark::RegisterBenchmark(
-        "runtime_chain/task",
-        [](benchmark::State &st) { BM_Rounds<TaskEngine>(st, false); });
-    benchmark::RegisterBenchmark(
-        "runtime_steal/flat",
-        [](benchmark::State &st) { BM_Rounds<FlatEngine>(st, true); });
-    benchmark::RegisterBenchmark(
-        "runtime_steal/task",
-        [](benchmark::State &st) { BM_Rounds<TaskEngine>(st, true); });
-    benchmark::RegisterBenchmark(
-        "runtime_affinity/local/task",
-        [](benchmark::State &st) { BM_Affinity(st, 0); });
-    benchmark::RegisterBenchmark(
-        "runtime_affinity/hop/task",
-        [](benchmark::State &st) { BM_Affinity(st, 1); });
+        "runtime_parallel_for/cpu/opt",
+        [](benchmark::State &st) { BM_Cpu(st, benchLanes()); });
     ::benchmark::Initialize(&argc, argv);
     if (::benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

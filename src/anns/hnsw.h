@@ -9,7 +9,7 @@
  * timing layer can replay it.
  *
  * Construction is deterministic batch-parallel insertion over the
- * global task runtime. The vertex stream is processed in exponentially
+ * global fork-join pool. The vertex stream is processed in exponentially
  * growing batches; all candidate searches of a batch run in parallel
  * against the graph frozen at batch start, then edges are applied in
  * insertion order. The resulting graph is a pure function of the seed,

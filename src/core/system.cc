@@ -47,17 +47,19 @@ class SystemModel::QueryContext
     bool idle() const { return idle_; }
 
     /**
-     * Start replaying trace @p trace_idx at the current tick. @p done
-     * fires inline at the query's final tick, after the slot went back
-     * to idle — it may begin() this slot again at that same tick.
+     * Start replaying trace @p trace_idx as query @p query_id at the
+     * current tick. @p done fires inline at the query's final tick,
+     * after the slot went back to idle — it may begin() this slot
+     * again at that same tick.
      */
     void
-    begin(std::size_t trace_idx, QueryDone done)
+    begin(std::size_t trace_idx, std::uint64_t query_id, QueryDone done)
     {
         ANSMET_ASSERT(idle_, "slot already has a query in flight");
         idle_ = false;
         done_ = std::move(done);
         qidx_ = trace_idx;
+        query_id_ = query_id;
         trace_ = &(*sys_.traces_)[qidx_];
         stats_ = QueryStats{};
         stats_.start = sys_.eq_.now();
@@ -75,13 +77,18 @@ class SystemModel::QueryContext
         unsigned writes = 0;
     };
 
-    /** Trace span [start, end] on this query's row of the run. */
+    /** Trace span [start, end] on this slot's row of the run. A slot
+     *  runs one query at a time, so its row never overlaps itself; the
+     *  args name the trace and query the span belongs to. */
     void
     span(std::string_view name, Tick start, Tick end) const
     {
-        obs::TraceWriter::instance().span(sys_.eq_.record(), name,
-                                          static_cast<std::uint32_t>(qidx_),
-                                          start, end);
+        const obs::TraceArg args[] = {
+            {"trace", static_cast<std::int64_t>(qidx_)},
+            {"query_id", static_cast<std::int64_t>(query_id_)},
+        };
+        obs::TraceWriter::instance().span(sys_.eq_.record(), name, id_,
+                                          start, end, args, std::size(args));
     }
 
     /** Mark (unit, qshr slot) as query-loaded; true on first use. */
@@ -491,6 +498,8 @@ class SystemModel::QueryContext
         auto &tw = obs::TraceWriter::instance();
         if (tw.enabled()) {
             const obs::TraceArg args[] = {
+                {"trace", static_cast<std::int64_t>(qidx_)},
+                {"query_id", static_cast<std::int64_t>(query_id_)},
                 {"comparisons",
                  static_cast<std::int64_t>(stats_.comparisons)},
                 {"terminated",
@@ -501,8 +510,7 @@ class SystemModel::QueryContext
                  static_cast<std::int64_t>(stats_.linesIneffectual)},
                 {"polls", static_cast<std::int64_t>(stats_.polls)},
             };
-            tw.span(sys_.eq_.record(), "query",
-                    static_cast<std::uint32_t>(qidx_), stats_.start,
+            tw.span(sys_.eq_.record(), "query", id_, stats_.start,
                     stats_.end, args, std::size(args));
         }
         sys_.run_stats_->queries.push_back(stats_);
@@ -521,6 +529,7 @@ class SystemModel::QueryContext
     QueryDone done_;
     const QueryTrace *trace_ = nullptr;
     std::size_t qidx_ = 0;
+    std::uint64_t query_id_ = 0;
     std::size_t step_ = 0;
     std::size_t task_ = 0;
     std::size_t fetch_cursor_ = 0;
@@ -759,12 +768,13 @@ SystemModel::slotIdle(unsigned slot) const
 }
 
 void
-SystemModel::submit(unsigned slot, std::size_t traceIdx, QueryDone done)
+SystemModel::submit(unsigned slot, std::size_t traceIdx,
+                    std::uint64_t queryId, QueryDone done)
 {
     ANSMET_ASSERT(run_stats_ != nullptr, "no open session");
     ANSMET_ASSERT(slot < contexts_.size(), "slot out of range");
     ANSMET_ASSERT(traceIdx < traces_->size(), "trace index out of range");
-    contexts_[slot]->begin(traceIdx, std::move(done));
+    contexts_[slot]->begin(traceIdx, queryId, std::move(done));
 }
 
 RunStats
@@ -794,7 +804,10 @@ SystemModel::dispatchNext(unsigned slot)
 {
     if (next_query_ >= traces_->size())
         return; // this slot is done
-    submit(slot, next_query_++,
+    // Closed-loop queries are numbered in dispatch order, which is
+    // also their trace index.
+    const std::size_t q = next_query_++;
+    submit(slot, q, q,
            [this, slot](const QueryStats &) { dispatchNext(slot); });
 }
 

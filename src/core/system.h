@@ -215,9 +215,11 @@ class SystemModel
      * current simulated time (fatal if the slot is busy). The same
      * trace may be submitted any number of times per session — the
      * serving engine replays popular queries repeatedly under Zipf
-     * skew. @p done fires when the query completes.
+     * skew. @p queryId names this submission in trace span args.
+     * @p done fires when the query completes.
      */
-    void submit(unsigned slot, std::size_t traceIdx, QueryDone done);
+    void submit(unsigned slot, std::size_t traceIdx, std::uint64_t queryId,
+                QueryDone done);
 
     /** The session's event queue, for arrival scheduling and now(). */
     sim::EventQueue &eventQueue() { return eq_; }
@@ -275,7 +277,7 @@ class SystemModel
 
     /**
      * Fetch-simulate every comparison of every trace in parallel over
-     * the task runtime, in the exact (step, task, sub-vector) order the
+     * the fork-join pool, in the exact (step, task, sub-vector) order the
      * replay consumes them. The simulator is a pure function of
      * (query, vector, threshold, dim range) — and the dimension split
      * is the same in every rank group — so the event-driven replay

@@ -7,9 +7,10 @@
  * updating the conservative lower bound after each 64 B fetch exactly
  * as the NDP distance-computing unit would, and reports how many lines
  * were fetched, whether early termination fired, and the final
- * accept/reject decision. One simulator instance is built per
- * (dataset, scheme); results are deterministic, so the timing layer
- * can share them across designs.
+ * accept/reject decision. Each core::SystemModel builds its own
+ * simulator for its dataset and its design's scheme. Results are a
+ * pure function of the inputs, so the model may compute them ahead of
+ * the replay on any thread.
  */
 
 #ifndef ANSMET_ET_FETCHSIM_H

@@ -11,9 +11,11 @@
  *          which the run keeps in its obs::RunRecord; span() and
  *          counter() take the record, so runs replayed one after
  *          another (or side by side) never share a timeline;
- *   tid  — a lane inside the run: query index for query-stage spans,
- *          ndpLaneTid(unit, qshr) for NDP task spans, dramLaneTid for
- *          DRAM counter tracks.
+ *   tid  — a lane inside the run: the host query slot for query-stage
+ *          spans (args name the trace and query id), ndpLaneTid(unit,
+ *          qshr) for NDP task spans, dramLaneTid for DRAM counter
+ *          tracks, queueWaitTid(query id) for serve queue waits. A row
+ *          never holds two overlapping spans.
  *
  * Recording is active only when the process was started with
  * ANSMET_TRACE=<path>; otherwise every call is a cheap early-out.
@@ -100,6 +102,19 @@ inline std::uint32_t
 dramLaneTid(unsigned controller)
 {
     return 20000 + controller;
+}
+
+/** Lowest tid of the queue_wait band, above every other band. */
+inline constexpr std::uint32_t kQueueWaitTidBase = 1u << 20;
+
+/** tid convention for serve queue_wait rows: one row per query id,
+ *  since waits of queued queries overlap one another. */
+inline std::uint32_t
+queueWaitTid(std::uint64_t queryId)
+{
+    constexpr std::uint64_t kRows =
+        (std::uint64_t{1} << 32) - kQueueWaitTidBase;
+    return kQueueWaitTidBase + static_cast<std::uint32_t>(queryId % kRows);
 }
 
 } // namespace ansmet::obs

@@ -93,8 +93,8 @@ class Driver
         const TickDelta wait = now - a.enqueuedAt;
         obs::TraceWriter::instance().span(
             sys_.eventQueue().record(), "queue_wait",
-            static_cast<std::uint32_t>(a.queryId), a.enqueuedAt, now);
-        sys_.submit(a.slot, a.traceIdx,
+            obs::queueWaitTid(a.queryId), a.enqueuedAt, now);
+        sys_.submit(a.slot, a.traceIdx, a.queryId,
                     [this, a, wait](const core::QueryStats &qs) {
                         onDone(a, wait, qs);
                     });

@@ -8,9 +8,9 @@
  * Determinism contract: the whole serve runs inside the event-driven
  * simulation — arrivals at pre-generated ticks, admission and
  * completion inline in event callbacks — so the report is a pure
- * function of (system, traces, config). ANSMET_THREADS and
- * ANSMET_CORES only parallelize the pure fetch precompute and must not
- * change a single sample; tests/test_serve.cc holds that line.
+ * function of (system, traces, config). ANSMET_THREADS only
+ * parallelizes the pure fetch precompute and must not change a single
+ * sample; tests/test_serve.cc holds that line.
  */
 
 #ifndef ANSMET_SERVE_ENGINE_H

@@ -12,9 +12,7 @@
  * six failures come from the discards, not from a broken include.
  */
 
-#include <utility>
-
-#include "common/runtime/mpsc_channel.h"
+#include "common/runtime/runtime.h"
 #include "obs/metrics.h"
 #include "serve/admission.h"
 #include "sim/event_queue.h"
@@ -22,20 +20,18 @@
 namespace ansmet {
 
 void
-discardResults(runtime::MpscChannel<int> &chan,
-               serve::AdmissionScheduler &adm, const obs::HistogramData &h,
+discardResults(serve::AdmissionScheduler &adm, const obs::HistogramData &h,
                sim::EventQueue &eq)
 {
-    int v = 1;
 #if !defined(CASE)
-    (void)chan.tryPush(std::move(v));
+    (void)runtime::parseLanes("4");
     (void)adm.tryOffer(1, 0, Tick{});
     (void)adm.admitNext(Tick{});
     (void)h.quantile(0.99);
     (void)eq.scheduleCancelable(Tick{}, [] {});
     (void)eq.scheduleInCancelable(TickDelta{1}, [] {});
-#elif CASE == 1 // MpscChannel::tryPush
-    chan.tryPush(std::move(v));
+#elif CASE == 1 // runtime::parseLanes
+    runtime::parseLanes("4");
 #elif CASE == 2 // AdmissionScheduler::tryOffer
     adm.tryOffer(1, 0, Tick{});
 #elif CASE == 3 // AdmissionScheduler::admitNext

@@ -9,8 +9,8 @@
  * each records into its own event queue's obs::RunRecord and publishes
  * it once, at endSession().
  *
- * The serial reference is obtained by running the stage as a task of
- * a private one-lane runtime: runtime work is flagged thread-local, so
+ * The serial reference is obtained by running the stage through
+ * runSerial() (run_serial.h): runtime work is flagged thread-local, so
  * every nested Runtime::global() entry point degrades to a plain
  * inline loop — exactly the ANSMET_THREADS=1 code path — while the
  * parallel run on the main thread uses the full global runtime. On a
@@ -24,7 +24,6 @@
 #include <barrier>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -38,27 +37,12 @@
 #include "core/trace.h"
 #include "et/profile.h"
 #include "obs/metrics.h"
+#include "run_serial.h"
 
 namespace ansmet {
 namespace {
 
 using anns::DatasetId;
-
-/** Run @p fn as a task of a private one-lane runtime: the task is
- *  flagged as runtime work, so every nested parallel entry point
- *  degrades to the serial (ANSMET_THREADS=1) code path. */
-template <typename Fn>
-auto
-runSerial(Fn fn) -> decltype(fn())
-{
-    runtime::Runtime sandbox(
-        runtime::RuntimeConfig{runtime::CoreSet::identity(1)});
-    runtime::TaskGroup group(sandbox);
-    std::optional<decltype(fn())> out;
-    group.run(0, runtime::Task::Fn{[&] { out.emplace(fn()); }});
-    group.wait();
-    return std::move(*out);
-}
 
 const anns::Dataset &
 dataset()

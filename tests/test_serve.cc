@@ -2,7 +2,7 @@
  * @file
  * Serving-layer tests: load-generator determinism (bitwise-identical
  * schedules and latency samples for a fixed ANSMET_SEED regardless of
- * thread/core configuration), admission-scheduler properties (QSHR
+ * thread configuration), admission-scheduler properties (QSHR
  * budget, FIFO no-starvation, double-admission death), and latency-
  * recorder quantile exactness.
  */
@@ -12,14 +12,12 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "anns/dataset.h"
 #include "anns/hnsw.h"
-#include "common/runtime/runtime.h"
 #include "core/system.h"
 #include "core/trace.h"
 #include "et/profile.h"
@@ -28,6 +26,7 @@
 #include "serve/engine.h"
 #include "serve/loadgen.h"
 #include "serve/recorder.h"
+#include "run_serial.h"
 
 namespace ansmet {
 namespace {
@@ -39,22 +38,6 @@ envSeed()
 {
     const char *s = std::getenv("ANSMET_SEED");
     return s ? std::strtoull(s, nullptr, 10) : 1;
-}
-
-/** Run @p fn as a task of a private one-lane runtime: the task is
- *  flagged as runtime work, so every nested parallel entry point
- *  degrades to the serial (ANSMET_THREADS=1) code path. */
-template <typename Fn>
-auto
-runSerial(Fn fn) -> decltype(fn())
-{
-    runtime::Runtime sandbox(
-        runtime::RuntimeConfig{runtime::CoreSet::identity(1)});
-    runtime::TaskGroup group(sandbox);
-    std::optional<decltype(fn())> out;
-    group.run(0, runtime::Task::Fn{[&] { out.emplace(fn()); }});
-    group.wait();
-    return std::move(*out);
 }
 
 // ------------------------------------------------------------------
@@ -407,8 +390,8 @@ TEST(Serve, LatencySamplesIndependentOfThreadConfig)
     // forcing the on-the-fly reference path (prefetchReplay=false, the
     // ANSMET_THREADS=1 equivalent) must not move one sample. Together
     // with the sandboxed generateArrivals test this is the
-    // "bitwise-identical across ANSMET_THREADS/ANSMET_CORES" contract:
-    // thread/core counts only ever reach those two mechanisms.
+    // "bitwise-identical across ANSMET_THREADS" contract: the thread
+    // count only ever reaches those two mechanisms.
     obs::Registry &reg = obs::Registry::instance();
     const obs::Snapshot s0 = reg.snapshot();
     const auto pooled = runServe(200000.0, /*prefetch=*/true);

@@ -27,9 +27,11 @@ conventions that neither the compiler nor clang-tidy checks:
                            thread-safety analysis sees every lock.
                            Likewise no direct std::thread / std::jthread
                            / std::async outside src/common/runtime/ —
-                           threads are spawned only by the task runtime
-                           so worker count, affinity, and shutdown stay
-                           centralized (std::this_thread is fine).
+                           threads are spawned only by the fork-join
+                           pool behind runtime::parallelFor, so the lane
+                           count, the nested-inline rule and the worker
+                           join stay centralized (std::this_thread is
+                           fine).
   R5  ansmet-eventcapture  No std::function inside the arguments of a
                            schedule()/scheduleIn() call in the
                            simulator-hot directories (src/sim, src/ndp,
@@ -154,9 +156,9 @@ BANNED_SYNC = {
 SYNC_EXEMPT_SUFFIX = os.path.join("src", "common", "sync.h")
 
 # R4 (thread-spawn half): raw std::thread / std::jthread / std::async
-# outside the task runtime. Centralizing
-# thread creation is what keeps worker count, core affinity, the
-# nested-inline rules, and drain-then-join shutdown coherent.
+# outside the fork-join pool. Centralizing thread creation is what
+# keeps the lane count, the nested-inline rule, and the worker join at
+# exit coherent.
 # (`std::this_thread` lexes as the single identifier `this_thread` and
 # is deliberately not banned — yield/sleep_for are fine anywhere.)
 BANNED_THREAD_SPAWN = {"thread", "jthread", "async"}
@@ -230,7 +232,7 @@ _MUTATING_METHODS = {"pop", "tryPop", "push", "tryPush", "tryOffer",
                      "store", "exchange", "fetch_add", "fetch_sub",
                      "next"}
 
-# R12: parking calls banned inside deferred callbacks (TaskGroup::wait
+# R12: parking calls banned inside deferred callbacks (CondVar::wait
 # and friends); lock RAII comes from LOCK_CLASSES above.
 _BLOCKING_WAITS = {"wait", "waitAll"}
 
@@ -634,10 +636,10 @@ def check_raw_sync(path, tokens, waived, findings):
         else:
             findings.append(Finding(
                 path, tok.line, "R4",
-                f"raw std::{tok.spelling}: spawn through the task runtime "
-                f"(common/runtime/Runtime, TaskGroup, parallelFor) so "
-                f"worker count, core affinity, and drain-then-join "
-                f"shutdown stay centralized"))
+                f"raw std::{tok.spelling}: parallelize through "
+                f"runtime::parallelFor (common/runtime/) so the lane "
+                f"count, the nested-inline rule, and the worker join "
+                f"stay centralized"))
 
 
 def check_event_capture(path, tokens, waived, findings):

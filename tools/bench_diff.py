@@ -16,12 +16,11 @@ Four modes, stdlib only:
       tools/bench_diff.py --speedup BENCH_kernels.json \
           [--min-ratio R --require NAME]...
 
-    Tiered benchmarks are named  <family>/<tier>. Three tier groups:
+    Tiered benchmarks are named  <family>/<tier>. Two tier groups:
     SIMD kernels use scalar | avx2 | avx512 (baseline: scalar, e.g.
-    kernel_l2_batch/fp32/avx2), simulator macro-benchmarks use
-    ref | opt (baseline: ref, e.g. sim_queue/replay/opt), and task
-    runtime macro-benchmarks use flat | task (baseline: flat, e.g.
-    runtime_steal/task against the retired flat pool). For every
+    kernel_l2_batch/fp32/avx2), and simulator and fork-join pool
+    macro-benchmarks use ref | opt (baseline: ref, e.g.
+    sim_queue/replay/opt or runtime_parallel_for/cpu/opt). For every
     non-baseline entry whose baseline sibling exists, prints the ratio
     baseline_time / tier_time. Each --require NAME (full benchmark
     name) must be present and meet --min-ratio, otherwise exit 1 --
@@ -61,7 +60,7 @@ import difflib
 import json
 import sys
 
-TIERS = ("scalar", "avx2", "avx512", "ref", "opt", "flat", "task")
+TIERS = ("scalar", "avx2", "avx512", "ref", "opt")
 
 SERVE_SCHEMA = "ansmet-serve-v1"
 
@@ -76,7 +75,7 @@ TAIL_COUNTERS = {"dropped": "<=", "completed": ">="}
 
 # Tiers that serve as the denominator of a speedup ratio; a measured
 # entry's baseline sibling is looked up in this order.
-BASELINE_TIERS = ("scalar", "ref", "flat")
+BASELINE_TIERS = ("scalar", "ref")
 
 
 class InputError(Exception):
