@@ -140,6 +140,11 @@ banner(const char *what, const char *paper_ref)
     static bool armed = false;
     if (!armed && !quiet()) {
         armed = true;
+        // Build the pool now: it then outlives the hook (static
+        // destructors run after later-registered atexit handlers), and
+        // the footer reports the lanes the run used without parsing
+        // ANSMET_THREADS a second time.
+        (void)runtime::Runtime::global();
         std::atexit([] {
             const double s = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() -
@@ -147,7 +152,7 @@ banner(const char *what, const char *paper_ref)
                                  .count();
             std::printf("\n[timing] total wall-clock: %.2f s "
                         "(ANSMET_THREADS=%u)\n",
-                        s, runtime::configuredLanes());
+                        s, runtime::Runtime::global().lanes());
         });
     }
 }

@@ -45,6 +45,7 @@ ExperimentContext::ExperimentContext(const ExperimentConfig &cfg)
     profile_ = et::buildProfile(*ds_.base, ds_.metric(), cfg_.profile);
     preproc_seconds_ = secondsSince(t0);
 
+    gt_ = anns::bruteForceAll(ds_.metric(), ds_.queries, *ds_.base, cfg_.k);
     ef_ = cfg_.efSearch != 0 ? cfg_.efSearch : tuneEf();
     auto [traces, recall] = traceWithEf(ef_);
     traces_ = std::move(traces);
@@ -111,20 +112,9 @@ ExperimentContext::buildOrLoadIndex()
         std::filesystem::remove(tmp, ec);
 }
 
-const std::vector<std::vector<anns::Neighbor>> &
-ExperimentContext::groundTruth() const
-{
-    if (!gt_) {
-        gt_ = anns::bruteForceAll(ds_.metric(), ds_.queries, *ds_.base,
-                                  cfg_.k);
-    }
-    return *gt_;
-}
-
 std::size_t
 ExperimentContext::tuneEf()
 {
-    const auto &gt = groundTruth();
     const std::size_t nq = ds_.queries.size();
     std::vector<double> per_query(nq);
     for (std::size_t ef = std::max<std::size_t>(cfg_.k, 10);
@@ -136,7 +126,7 @@ ExperimentContext::tuneEf()
             for (std::size_t q = lo; q < hi; ++q) {
                 const auto ids =
                     index_->search(ds_.queries[q].data(), cfg_.k, ef);
-                per_query[q] = anns::recallAtK(ids, gt[q], cfg_.k);
+                per_query[q] = anns::recallAtK(ids, gt_[q], cfg_.k);
             }
         });
         const double total =
@@ -155,7 +145,6 @@ ExperimentContext::traceWithEf(std::size_t ef) const
 {
     const std::size_t nq = ds_.queries.size();
     std::vector<QueryTrace> traces(nq);
-    const auto &gt = groundTruth();
     std::vector<double> per_query(nq);
     // Queries are independent; traces land in their stable slots and
     // the recall reduction runs in query order (see tuneEf).
@@ -163,7 +152,8 @@ ExperimentContext::traceWithEf(std::size_t ef) const
         for (std::size_t q = lo; q < hi; ++q) {
             traces[q] = traceHnswQuery(*index_, ds_.queries[q], cfg_.k,
                                        std::max(ef, cfg_.k));
-            per_query[q] = anns::recallAtK(traces[q].result, gt[q], cfg_.k);
+            per_query[q] =
+                anns::recallAtK(traces[q].result, gt_[q], cfg_.k);
         }
     });
     const double total =

@@ -10,7 +10,6 @@
 #define ANSMET_CORE_EXPERIMENT_H
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,8 +46,8 @@ struct ExperimentConfig
 
 /**
  * A fully prepared workload: dataset, index, ground truth, traces,
- * and the ET profile. Expensive parts (graph build) are cached on
- * disk under .ansmet_cache/.
+ * and the ET profile, all built by the constructor. Expensive parts
+ * (graph build) are cached on disk under .ansmet_cache/.
  */
 class ExperimentContext
 {
@@ -67,8 +66,12 @@ class ExperimentContext
     /** HNSW top-layer vertices (the paper replicates the top 4). */
     const std::vector<VectorId> &hotVectors() const { return hot_; }
 
-    /** Ground truth (lazy, cached in memory). */
-    const std::vector<std::vector<anns::Neighbor>> &groundTruth() const;
+    /** Exact k nearest neighbors of every query. */
+    const std::vector<std::vector<anns::Neighbor>> &
+    groundTruth() const
+    {
+        return gt_;
+    }
 
     /** Wall-clock seconds of each preprocessing stage (Table 4). */
     double graphBuildSeconds() const { return graph_seconds_; }
@@ -104,7 +107,7 @@ class ExperimentContext
     double recall_ = 0.0;
     double graph_seconds_ = 0.0;
     double preproc_seconds_ = 0.0;
-    mutable std::optional<std::vector<std::vector<anns::Neighbor>>> gt_;
+    std::vector<std::vector<anns::Neighbor>> gt_;
 };
 
 } // namespace ansmet::core

@@ -105,29 +105,23 @@ class SystemModel::QueryContext
     }
 
     /**
-     * Fetch-simulation outcome for the next comparison, either popped
-     * from the precomputed per-query sequence or simulated on the fly
-     * (single-threaded reference path). Call sites consume results in
+     * Fetch-simulation outcome for the next comparison, popped from
+     * the query's precomputed sequence. Call sites consume results in
      * the same (step, task, sub-vector) order precomputeFetch()
      * produced them.
      */
     et::FetchResult
-    nextFetch(const CompareTask &t, unsigned dim_begin, unsigned dim_end)
+    nextFetch()
     {
-        if (!sys_.prefetch_.empty()) {
-            const auto &pre = sys_.prefetch_[qidx_];
-            ANSMET_ASSERT(fetch_cursor_ < pre.size(),
-                          "replay consumed more fetches than precomputed");
-            const SystemModel::PreFetch &p = pre[fetch_cursor_++];
-            et::FetchResult fr;
-            fr.lines = p.lines;
-            fr.backupLines = p.backup;
-            fr.terminatedEarly = p.terminated;
-            return fr;
-        }
-        return sys_.fetchsim_->simulateRange(trace_->query.data(), t.vec,
-                                             t.threshold, dim_begin,
-                                             dim_end);
+        const auto &pre = sys_.prefetch_[qidx_];
+        ANSMET_ASSERT(fetch_cursor_ < pre.size(),
+                      "replay consumed more fetches than precomputed");
+        const SystemModel::PreFetch &p = pre[fetch_cursor_++];
+        et::FetchResult fr;
+        fr.lines = p.lines;
+        fr.backupLines = p.backup;
+        fr.terminatedEarly = p.terminated;
+        return fr;
     }
 
     void
@@ -185,7 +179,7 @@ class SystemModel::QueryContext
             return;
         }
         const CompareTask &t = s.tasks[task_];
-        const et::FetchResult fr = nextFetch(t, 0, sys_.vs_.dims());
+        const et::FetchResult fr = nextFetch();
         accountFetch(t, fr, sys_.fetchsim_->fullLines());
 
         const unsigned lines = std::max(1u, fr.totalLines());
@@ -227,8 +221,7 @@ class SystemModel::QueryContext
             const unsigned group = chooseGroup(t.vec);
             const auto &places = sys_.placeOf(t.vec, group);
             for (const auto &sp : places) {
-                const et::FetchResult fr =
-                    nextFetch(t, sp.dimBegin, sp.dimEnd);
+                const et::FetchResult fr = nextFetch();
                 accountFetch(t, fr, sp.lines);
                 sys_.loads_->add(sp.rank, fr.totalLines());
 
@@ -494,6 +487,9 @@ class SystemModel::QueryContext
     void
     finishQuery()
     {
+        ANSMET_ASSERT(fetch_cursor_ == sys_.prefetch_[qidx_].size(),
+                      "replay consumed ", fetch_cursor_, " of ",
+                      sys_.prefetch_[qidx_].size(), " precomputed fetches");
         stats_.end = sys_.eq_.now();
         auto &tw = obs::TraceWriter::instance();
         if (tw.enabled()) {
@@ -600,8 +596,18 @@ SystemModel::SystemModel(const SystemConfig &cfg, const anns::VectorSet &vs,
                          const std::vector<VectorId> &hot)
     : cfg_(cfg), vs_(vs), metric_(metric)
 {
+    // The partitioner splits every vector the same way, so the sizes
+    // of one placement are every sub-vector size the replay simulates.
+    std::vector<unsigned> sub_dims;
+    if (isNdp(cfg.design)) {
+        part_ = std::make_unique<layout::Partitioner>(
+            layout::PartitionConfig{cfg.ndpUnits, cfg.subVectorBytes},
+            vs.dims(), anns::scalarBytes(vs.type()), vs.size());
+        for (const auto &s : part_->placement(0, 0))
+            sub_dims.push_back(s.dimEnd - s.dimBegin);
+    }
     fetchsim_ = std::make_unique<et::FetchSimulator>(
-        vs, metric, schemeOf(cfg.design), profile);
+        vs, metric, schemeOf(cfg.design), profile, sub_dims);
     hostCpu_ = std::make_unique<cpu::HostCpu>(eq_, cfg.host, cfg.timing,
                                               cfg.org);
 
@@ -610,9 +616,6 @@ SystemModel::SystemModel(const SystemConfig &cfg, const anns::VectorSet &vs,
             units_.push_back(std::make_unique<ndp::NdpUnit>(
                 eq_, cfg.ndpParams, cfg.timing, cfg.org, u));
         }
-        part_ = std::make_unique<layout::Partitioner>(
-            layout::PartitionConfig{cfg.ndpUnits, cfg.subVectorBytes},
-            vs.dims(), anns::scalarBytes(vs.type()), vs.size());
         loads_ = std::make_unique<layout::LoadTracker>(cfg.ndpUnits);
         allocatePlacement(cfg.replicateHot ? hot : std::vector<VectorId>{});
 
@@ -699,22 +702,16 @@ SystemModel::placeOf(VectorId v, unsigned group) const
 void
 SystemModel::precomputeFetch(const std::vector<QueryTrace> &traces)
 {
-    if (!cfg_.prefetchReplay || runtime::Runtime::global().lanes() == 1)
-        return; // serial reference path simulates on the fly
-
     // The dimension ranges every comparison is simulated over: the
     // rank-group split for NDP designs (identical in every group, only
     // ranks rotate), or the full vector for CPU designs.
     std::vector<std::pair<unsigned, unsigned>> ranges;
-    if (isNdp(cfg_.design) && part_) {
+    if (part_) {
         for (const auto &s : part_->placement(0, 0))
             ranges.emplace_back(s.dimBegin, s.dimEnd);
     } else {
         ranges.emplace_back(0, vs_.dims());
     }
-    // Warm the plan cache once so the parallel phase only reads it.
-    for (const auto &[b, e] : ranges)
-        (void)fetchsim_->subPlan(e - b);
 
     prefetch_.assign(traces.size(), {});
     runtime::parallelFor(0, traces.size(), [&](std::size_t lo, std::size_t hi) {

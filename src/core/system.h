@@ -47,13 +47,6 @@ struct SystemConfig
      * writes (the QSHR holds the query data).
      */
     unsigned qshrsPerQuery = 2;
-    /**
-     * Precompute all fetch-simulation results in parallel before the
-     * event replay (identical outcome either way; see
-     * precomputeFetch()). Off forces the on-the-fly reference path —
-     * used by the determinism tests, not a tuning knob.
-     */
-    bool prefetchReplay = true;
 
     dram::TimingParams timing{};
     dram::OrgParams org{};
@@ -276,14 +269,14 @@ class SystemModel
     void dispatchNext(unsigned slot);
 
     /**
-     * Fetch-simulate every comparison of every trace in parallel over
-     * the fork-join pool, in the exact (step, task, sub-vector) order the
-     * replay consumes them. The simulator is a pure function of
-     * (query, vector, threshold, dim range) — and the dimension split
-     * is the same in every rank group — so the event-driven replay
-     * stays serial and bit-identical while the expensive bound loops
-     * run on all cores. No-op with a one-lane runtime (the
-     * reference path computes on the fly).
+     * Fetch-simulate every comparison of every trace over the fork-join
+     * pool, in the exact (step, task, sub-vector) order the replay
+     * consumes them. The simulator is a pure function of (query,
+     * vector, threshold, dim range) — and the dimension split is the
+     * same in every rank group — so the event-driven replay stays
+     * serial and bit-identical while the expensive bound loops run on
+     * every lane. The only way a replay gets its fetches; on one lane,
+     * or nested inside another parallelFor, the loop runs inline.
      */
     void precomputeFetch(const std::vector<QueryTrace> &traces);
     const std::vector<SubPlace> &placeOf(VectorId v, unsigned group) const;
@@ -317,8 +310,8 @@ class SystemModel
 
     // Session state.
     // prefetch_[q] = PreFetch per simulator call of trace q, in
-    // consumption order; empty when computing on the fly. Indexed by
-    // trace, so repeated submissions of one trace replay one sequence.
+    // consumption order. Indexed by trace, so repeated submissions of
+    // one trace replay one sequence.
     std::vector<std::vector<PreFetch>> prefetch_;
     const std::vector<QueryTrace> *traces_ = nullptr;
     std::size_t next_query_ = 0; //!< batch dispatcher cursor (run())

@@ -82,8 +82,9 @@ planFor(EtScheme s, ScalarType t, unsigned dims, const EtProfile *prof)
 
 FetchSimulator::FetchSimulator(const anns::VectorSet &vs,
                                anns::Metric metric, EtScheme scheme,
-                               const EtProfile *profile)
-    : vs_(vs), metric_(metric), scheme_(scheme), profile_(profile),
+                               const EtProfile *profile,
+                               const std::vector<unsigned> &sub_dims)
+    : vs_(vs), metric_(metric), scheme_(scheme),
       plan_(planFor(scheme, vs.type(), vs.dims(), profile)),
       global_range_{-std::numeric_limits<double>::max() / 4,
                     std::numeric_limits<double>::max() / 4}
@@ -95,6 +96,28 @@ FetchSimulator::FetchSimulator(const anns::VectorSet &vs,
         pe_ = std::make_unique<PrefixElimination>(profile->commonPrefix,
                                                   vs);
     }
+    for (const unsigned dims : sub_dims) {
+        if (dims == vs.dims() || sub_plans_.contains(dims))
+            continue;
+        FetchPlanSpec plan;
+        if ((scheme == EtScheme::kDual || scheme == EtScheme::kOpt) &&
+            profile) {
+            // Line packing depends on the sub-vector dimensionality, so
+            // the offline pass re-optimizes (nC, TC, nF) per sub-vector
+            // size rather than inheriting the full-vector parameters.
+            const unsigned prefix =
+                scheme == EtScheme::kOpt ? profile->commonPrefix.length : 0;
+            const DualParams dp = optimizeDual(
+                profile->etPositions, keyBits(vs.type()), prefix, dims);
+            plan = FetchPlanSpec::dual(vs.type(), dims, prefix, dp.nc,
+                                       dp.tc, dp.nf,
+                                       scheme == EtScheme::kOpt &&
+                                           prefix > 0);
+        } else {
+            plan = planFor(scheme, vs.type(), dims, profile);
+        }
+        sub_plans_.emplace(dims, std::move(plan));
+    }
 }
 
 const FetchPlanSpec &
@@ -102,39 +125,9 @@ FetchSimulator::subPlan(unsigned dims) const
 {
     if (dims == vs_.dims())
         return plan_;
-    {
-        // Read-mostly fast path: after warm-up every lookup lands here
-        // and proceeds concurrently with every other reader.
-        ReaderLock lk(sub_plans_mu_);
-        const auto it = sub_plans_.find(dims);
-        if (it != sub_plans_.end())
-            return it->second;
-    }
-    WriterLock lk(sub_plans_mu_);
-    // Double-checked: another thread may have built the plan between
-    // the two lock acquisitions.
-    auto it = sub_plans_.find(dims);
-    if (it == sub_plans_.end()) {
-        FetchPlanSpec plan;
-        if ((scheme_ == EtScheme::kDual || scheme_ == EtScheme::kOpt) &&
-            profile_) {
-            // Line packing depends on the sub-vector dimensionality, so
-            // the offline pass re-optimizes (nC, TC, nF) per sub-vector
-            // size rather than inheriting the full-vector parameters.
-            const unsigned prefix = scheme_ == EtScheme::kOpt
-                                        ? profile_->commonPrefix.length
-                                        : 0;
-            const DualParams dp = optimizeDual(
-                profile_->etPositions, keyBits(vs_.type()), prefix, dims);
-            plan = FetchPlanSpec::dual(vs_.type(), dims, prefix, dp.nc,
-                                       dp.tc, dp.nf,
-                                       scheme_ == EtScheme::kOpt &&
-                                           prefix > 0);
-        } else {
-            plan = planFor(scheme_, vs_.type(), dims, profile_);
-        }
-        it = sub_plans_.emplace(dims, std::move(plan)).first;
-    }
+    const auto it = sub_plans_.find(dims);
+    ANSMET_CHECK(it != sub_plans_.end(), "no fetch plan for a ", dims,
+                 "-dim sub-vector: name it at construction");
     return it->second;
 }
 

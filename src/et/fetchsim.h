@@ -8,9 +8,10 @@
  * as the NDP distance-computing unit would, and reports how many lines
  * were fetched, whether early termination fired, and the final
  * accept/reject decision. Each core::SystemModel builds its own
- * simulator for its dataset and its design's scheme. Results are a
- * pure function of the inputs, so the model may compute them ahead of
- * the replay on any thread.
+ * simulator for its dataset, its design's scheme and its sub-vector
+ * sizes. Every plan is built in the constructor, so the simulator is
+ * immutable afterwards and results are a pure function of the inputs:
+ * the model computes them ahead of the replay on any thread.
  */
 
 #ifndef ANSMET_ET_FETCHSIM_H
@@ -18,10 +19,10 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "anns/distance.h"
 #include "anns/vector.h"
-#include "common/sync.h"
 #include "et/bounds.h"
 #include "et/layout.h"
 #include "et/prefix.h"
@@ -68,9 +69,12 @@ class FetchSimulator
      *        optional otherwise (kNone..kHeuristic only need the
      *        global range for IP, which a null profile approximates
      *        with a wide interval)
+     * @param sub_dims sub-vector sizes simulateRange() will be asked
+     *        for besides the full vector; each gets its own plan
      */
     FetchSimulator(const anns::VectorSet &vs, anns::Metric metric,
-                   EtScheme scheme, const EtProfile *profile);
+                   EtScheme scheme, const EtProfile *profile,
+                   const std::vector<unsigned> &sub_dims = {});
 
     /** Simulate one comparison against @p threshold. */
     FetchResult simulate(const float *query, VectorId v,
@@ -110,10 +114,8 @@ class FetchSimulator
     const PrefixElimination *prefixElimination() const { return pe_.get(); }
 
     /**
-     * Plan for a sub-vector of @p dims dimensions (cached). Safe to
-     * call concurrently: simulate()/simulateRange() are otherwise
-     * pure, so the timing layer precomputes fetch results across
-     * queries in parallel.
+     * Plan for a sub-vector of @p dims dimensions: the full-vector
+     * plan or one of the constructor's sub_dims (fatal otherwise).
      */
     const FetchPlanSpec &subPlan(unsigned dims) const;
 
@@ -141,18 +143,10 @@ class FetchSimulator
     const anns::VectorSet &vs_;
     anns::Metric metric_;
     EtScheme scheme_;
-    const EtProfile *profile_;
     FetchPlanSpec plan_;
     ValueInterval global_range_;
     std::unique_ptr<PrefixElimination> pe_;
-    // Lazily grown plan cache; entries are stable once inserted (the
-    // map guarantees reference stability). The hot path is read-mostly
-    // — a handful of distinct sub-vector sizes, millions of lookups —
-    // so readers take the shared side and only a miss upgrades to the
-    // exclusive side with a double-checked insert.
-    mutable SharedMutex sub_plans_mu_;
-    mutable std::map<unsigned, FetchPlanSpec> sub_plans_
-        ANSMET_GUARDED_BY(sub_plans_mu_);
+    std::map<unsigned, FetchPlanSpec> sub_plans_;
 };
 
 } // namespace ansmet::et

@@ -204,7 +204,7 @@ TEST(FetchSim, RangeSimulationCoversSubvectors)
 {
     const Workload &w = workload(DatasetId::kGist);
     const FetchSimulator sim(*w.ds.base, w.ds.metric(), EtScheme::kOpt,
-                             &w.profile);
+                             &w.profile, {240});
     const auto &q = w.ds.queries[0];
     const auto gt =
         anns::bruteForceKnn(w.ds.metric(), q.data(), *w.ds.base, 10);
@@ -549,7 +549,8 @@ TEST(FetchSim, StagedOptMatchesPerDimensionReference)
         pc.numSamples = 60;
         pc.maxPairs = 600;
         const EtProfile prof = buildProfile(vs, metric, pc);
-        const FetchSimulator sim(vs, metric, EtScheme::kOpt, &prof);
+        const FetchSimulator sim(vs, metric, EtScheme::kOpt, &prof,
+                                 {24, kDims - 24, 40, kDims - 71});
         const PrefixElimination *pe = sim.prefixElimination();
         ASSERT_NE(pe, nullptr);
         ASSERT_GT(prof.commonPrefix.length, 0u);
@@ -625,6 +626,23 @@ TEST(FetchSimInvariants, BadDimensionRangePanics)
     const auto &q = w.ds.queries.front();
     EXPECT_DEATH(sim.simulateRange(q.data(), 0, 1.0, 5, 5),
                  "bad dimension range");
+}
+
+TEST(FetchSimInvariants, UnbuiltSubPlanPanics)
+{
+    // Plans exist only for the full vector and the sub-vector sizes
+    // named at construction; any other range is a caller bug.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Workload &w = workload(DatasetId::kDeep);
+    const FetchSimulator sim(*w.ds.base, w.ds.metric(), EtScheme::kOpt,
+                             &w.profile, {24});
+    EXPECT_EQ(sim.subPlan(w.ds.base->dims()).totalLines(), sim.fullLines());
+    EXPECT_GT(sim.subPlan(24).totalLines(), 0u);
+    const auto &q = w.ds.queries.front();
+    (void)sim.simulateRange(q.data(), 0, 1.0, 8, 32);
+    EXPECT_DEATH((void)sim.subPlan(25), "no fetch plan for a 25-dim");
+    EXPECT_DEATH(sim.simulateRange(q.data(), 0, 1.0, 0, 25),
+                 "no fetch plan for a 25-dim");
 }
 
 } // namespace

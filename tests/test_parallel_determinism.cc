@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,7 +36,9 @@
 #include "common/runtime/runtime.h"
 #include "core/system.h"
 #include "core/trace.h"
+#include "et/fetchsim.h"
 #include "et/profile.h"
+#include "layout/partition.h"
 #include "obs/metrics.h"
 #include "run_serial.h"
 
@@ -142,7 +145,79 @@ TEST(ParallelDeterminism, ConcurrentSearchMatchesSerial)
     EXPECT_EQ(parallel, serial);
 }
 
-TEST(ParallelDeterminism, TraceReplayStatsMatchOnTheFlyReference)
+/** Per-trace stats of one closed-loop replay, and the oracle's. */
+struct OracleReplay
+{
+    std::vector<core::QueryStats> got;  //!< replayed, by trace
+    std::vector<core::QueryStats> want; //!< oracle, by trace
+    TickDelta makespan{};
+};
+
+/**
+ * Replay @p traces through the session API: each of 8 slots submits
+ * the next trace when its query completes, and the done callback files
+ * the query's stats under its trace. The oracle then calls the model's
+ * own FetchSimulator directly, in the (step, task, range) order the
+ * replay consumes fetches, over each vector's own placement.
+ */
+OracleReplay
+replayWithOracle(core::Design design, const anns::Dataset &ds,
+                 const et::EtProfile &profile,
+                 const std::vector<VectorId> &hot,
+                 const std::vector<core::QueryTrace> &traces)
+{
+    core::SystemConfig cfg;
+    cfg.design = design;
+    core::SystemModel model(cfg, *ds.base, ds.metric(), &profile, hot);
+    OracleReplay out;
+    out.got.resize(traces.size());
+    std::size_t next = 0;
+    std::function<void(unsigned)> feed = [&](unsigned slot) {
+        if (next == traces.size())
+            return;
+        const std::size_t q = next++;
+        model.submit(slot, q, q, [&, slot, q](const core::QueryStats &st) {
+            out.got[q] = st;
+            feed(slot);
+        });
+    };
+    constexpr unsigned kSlots = 8;
+    model.beginSession(traces, kSlots);
+    for (unsigned s = 0; s < kSlots; ++s)
+        feed(s);
+    model.eventQueue().run();
+    out.makespan = model.endSession().makespan;
+
+    const et::FetchSimulator &fs = model.fetchSimulator();
+    const layout::Partitioner *part = model.partitioner();
+    for (const core::QueryTrace &tr : traces) {
+        core::QueryStats want;
+        for (const core::TraceStep &st : tr.steps) {
+            for (const core::CompareTask &t : st.tasks) {
+                std::vector<std::pair<unsigned, unsigned>> ranges;
+                if (part != nullptr) {
+                    for (const auto &sv : part->placement(t.vec, 0))
+                        ranges.emplace_back(sv.dimBegin, sv.dimEnd);
+                } else {
+                    ranges.emplace_back(0, ds.base->dims());
+                }
+                ++want.comparisons;
+                for (const auto &[b, e] : ranges) {
+                    const et::FetchResult fr = fs.simulateRange(
+                        tr.query.data(), t.vec, t.threshold, b, e);
+                    want.terminated += fr.terminatedEarly;
+                    (t.accepted ? want.linesEffectual
+                                : want.linesIneffectual) += fr.totalLines();
+                    want.backupLines += fr.backupLines;
+                }
+            }
+        }
+        out.want.push_back(want);
+    }
+    return out;
+}
+
+TEST(ParallelDeterminism, TraceReplayStatsMatchFetchSimulatorOracle)
 {
     const auto ds = anns::makeDataset(DatasetId::kDeep, 1200, 10, 1);
     const anns::HnswIndex idx(*ds.base, ds.metric(),
@@ -157,36 +232,34 @@ TEST(ParallelDeterminism, TraceReplayStatsMatchOnTheFlyReference)
     const unsigned top = idx.maxLevel();
     const auto hot = idx.verticesAtLevel(top >= 3 ? top - 3 : 1);
 
-    auto run = [&](core::Design d, bool prefetch) {
-        core::SystemConfig cfg;
-        cfg.design = d;
-        cfg.concurrentQueries = 8;
-        cfg.prefetchReplay = prefetch;
-        core::SystemModel model(cfg, *ds.base, ds.metric(), &profile, hot);
-        return model.run(traces);
-    };
-
     for (const core::Design d :
          {core::Design::kCpuEt, core::Design::kNdpEtOpt}) {
-        const core::RunStats pre = run(d, true);
-        const core::RunStats fly = run(d, false);
-        EXPECT_EQ(pre.makespan, fly.makespan) << designName(d);
-        EXPECT_DOUBLE_EQ(pre.energy.totalNj(), fly.energy.totalNj())
-            << designName(d);
-        ASSERT_EQ(pre.queries.size(), fly.queries.size());
-        for (std::size_t q = 0; q < pre.queries.size(); ++q) {
-            const auto &a = pre.queries[q];
-            const auto &b = fly.queries[q];
-            EXPECT_EQ(a.start, b.start) << designName(d) << " q=" << q;
-            EXPECT_EQ(a.end, b.end) << designName(d) << " q=" << q;
-            EXPECT_EQ(a.comparisons, b.comparisons);
-            EXPECT_EQ(a.accepted, b.accepted);
-            EXPECT_EQ(a.terminated, b.terminated);
-            EXPECT_EQ(a.linesEffectual, b.linesEffectual);
-            EXPECT_EQ(a.linesIneffectual, b.linesIneffectual);
-            EXPECT_EQ(a.backupLines, b.backupLines);
-            EXPECT_EQ(a.polls, b.polls);
+        const OracleReplay pooled =
+            replayWithOracle(d, ds, profile, hot, traces);
+        const OracleReplay serial = runSerial(
+            [&] { return replayWithOracle(d, ds, profile, hot, traces); });
+        EXPECT_EQ(pooled.makespan, serial.makespan) << designName(d);
+        std::uint64_t terminated = 0;
+        for (const OracleReplay *r : {&pooled, &serial}) {
+            ASSERT_EQ(r->got.size(), traces.size());
+            for (std::size_t q = 0; q < traces.size(); ++q) {
+                const auto &a = r->got[q];
+                const auto &b = r->want[q];
+                const std::string at =
+                    std::string(designName(d)) + " trace " +
+                    std::to_string(q) +
+                    (r == &pooled ? " pooled" : " serial");
+                EXPECT_EQ(a.comparisons, b.comparisons) << at;
+                EXPECT_EQ(a.terminated, b.terminated) << at;
+                EXPECT_EQ(a.linesEffectual, b.linesEffectual) << at;
+                EXPECT_EQ(a.linesIneffectual, b.linesIneffectual) << at;
+                EXPECT_EQ(a.backupLines, b.backupLines) << at;
+                EXPECT_EQ(a.start, pooled.got[q].start) << at;
+                EXPECT_EQ(a.end, pooled.got[q].end) << at;
+                terminated += a.terminated;
+            }
         }
+        EXPECT_GT(terminated, 0u) << designName(d);
     }
 }
 

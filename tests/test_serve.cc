@@ -329,12 +329,11 @@ serveCfg(double qps, std::uint64_t n = 64)
 }
 
 serve::ServeReport
-runServe(double qps, bool prefetch = true, std::uint64_t n = 64)
+runServe(double qps, std::uint64_t n = 64)
 {
     const ServeWorld &w = world();
     core::SystemConfig cfg;
     cfg.design = core::Design::kNdpEtOpt;
-    cfg.prefetchReplay = prefetch;
     core::SystemModel model(cfg, *w.ds.base, w.ds.metric(), &w.profile,
                             w.hot);
     return serve::serve(model, w.traces, serveCfg(qps, n));
@@ -387,37 +386,31 @@ etDeltas(const obs::Snapshot &a, const obs::Snapshot &b)
 TEST(Serve, LatencySamplesIndependentOfThreadConfig)
 {
     // The only parallel stage in a serve is the pure fetch precompute;
-    // forcing the on-the-fly reference path (prefetchReplay=false, the
-    // ANSMET_THREADS=1 equivalent) must not move one sample. Together
-    // with the sandboxed generateArrivals test this is the
-    // "bitwise-identical across ANSMET_THREADS" contract: the thread
-    // count only ever reaches those two mechanisms.
+    // running it inline on one lane (runSerial, the ANSMET_THREADS=1
+    // path) must not move one sample. Together with the sandboxed
+    // generateArrivals test this is the "bitwise-identical across
+    // ANSMET_THREADS" contract: the thread count only ever reaches
+    // those two mechanisms.
     obs::Registry &reg = obs::Registry::instance();
     const obs::Snapshot s0 = reg.snapshot();
-    const auto pooled = runServe(200000.0, /*prefetch=*/true);
+    const auto pooled = runServe(200000.0);
     const obs::Snapshot s1 = reg.snapshot();
-    const auto serial = runServe(200000.0, /*prefetch=*/false);
+    const auto serial = runSerial([] { return runServe(200000.0); });
     const obs::Snapshot s2 = reg.snapshot();
     expectBitwiseEqual(pooled, serial);
 
-    const auto sandboxed =
-        runSerial([] { return runServe(200000.0, /*prefetch=*/true); });
-    const obs::Snapshot s3 = reg.snapshot();
-    expectBitwiseEqual(pooled, sandboxed);
-
     // The et.* counts are one per replayed fetch, so they do not
-    // depend on whether (or on how many lanes) the fetches were
-    // simulated ahead of the replay.
+    // depend on how many lanes simulated the fetches ahead of the
+    // replay.
     const auto et = etDeltas(s0, s1);
     ASSERT_EQ(et.size(), 6u);
     EXPECT_GT(et.at("et.comparisons"), 0u);
     EXPECT_EQ(etDeltas(s1, s2), et);
-    EXPECT_EQ(etDeltas(s2, s3), et);
 }
 
 TEST(Serve, ReportsAllPhasesWithOrderedTails)
 {
-    const auto r = runServe(500000.0, true, 128);
+    const auto r = runServe(500000.0, 128);
     EXPECT_EQ(r.offered, 128u);
     EXPECT_EQ(r.completed + r.dropped, r.offered);
     EXPECT_GT(r.completed, 0u);
@@ -445,7 +438,7 @@ TEST(Serve, FifoQueueWaitBoundedUnderZipfSkew)
     // max(queue wait) <= (capacity + 1) * max(service time) however
     // skewed the popularity draw is. Overload on purpose (queue
     // pressure + drops) to stress the bound.
-    const auto r = runServe(2.0e6, true, 192);
+    const auto r = runServe(2.0e6, 192);
     ASSERT_GT(r.completed, 0u);
     std::uint64_t max_service = 0;
     for (const auto &q : r.queries)
@@ -460,7 +453,7 @@ TEST(Serve, OverloadDropsInsteadOfUnboundedQueueing)
     // Far past saturation the bounded queue must shed load.
     obs::Registry &reg = obs::Registry::instance();
     const obs::Snapshot before = reg.snapshot();
-    const auto r = runServe(5.0e7, true, 256);
+    const auto r = runServe(5.0e7, 256);
     const obs::Snapshot after = reg.snapshot();
     EXPECT_GT(r.dropped, 0u);
     EXPECT_EQ(r.completed + r.dropped, r.offered);
